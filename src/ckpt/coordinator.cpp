@@ -305,7 +305,8 @@ Status Coordinator::restore_runtime(const Snapshot& snap) {
   ordered.reserve(snap.units.size());
   for (const auto& record : snap.units) {
     auto unit = std::make_shared<pilot::ComputeUnit>(
-        record.uid, record.description, backend_.clock());
+        record.uid, record.description, backend_.clock(),
+        manager->session_ordinal());
     unit->restore_state(record.state);
     manager->restore_unit(unit, record.settled, record.notified);
     units_by_uid_.emplace(record.uid, unit);

@@ -135,19 +135,29 @@ std::size_t GraphExecutor::nodes_submitted() const {
 }
 
 void GraphExecutor::on_unit_settled(const pilot::ComputeUnitPtr& unit) {
+  bool deferred = false;
   {
     MutexLock lock(mutex_);
     const auto it = node_of_.find(unit.get());
     if (it == node_of_.end()) return;  // not one of this graph's units
     events_.push_back({it->second, unit->state()});
-    if (deferred_) return;  // advance_local() drains it
+    deferred = deferred_;
   }
-  pump();
+  if (!deferred) {
+    pump();
+    return;
+  }
+  // advance_local() drains it; tell the driver this graph changed.
+  if (event_hook_) event_hook_();
 }
 
 void GraphExecutor::set_deferred(bool deferred) {
   MutexLock lock(mutex_);
   deferred_ = deferred;
+}
+
+void GraphExecutor::set_event_hook(std::function<void()> hook) {
+  event_hook_ = std::move(hook);
 }
 
 bool GraphExecutor::advance_local() {

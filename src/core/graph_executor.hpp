@@ -29,6 +29,7 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -105,6 +106,12 @@ class GraphExecutor {
   /// Enables/disables deferred mode. Toggle only between engine steps
   /// (no settlement callback in flight, no pending batch unflushed).
   void set_deferred(bool deferred) ENTK_EXCLUDES(mutex_);
+  /// Deferred mode: `hook` runs after each settlement event is queued
+  /// for advance_local(), outside the executor lock, on the thread
+  /// that delivered the settlement. A driver of many executors uses it
+  /// to advance only the ones that changed. An empty hook clears it.
+  /// Set only between engine steps, like set_deferred.
+  void set_event_hook(std::function<void()> hook);
   /// Parallel-safe half of one pump round: applies queued settlement
   /// events, decides groups, propagates skips, computes the next
   /// frontier and materializes its specs — everything except the
@@ -290,6 +297,8 @@ class GraphExecutor {
   /// above) is the synchronization, not mutex_.
   std::vector<NodeId> pending_frontier_;
   std::vector<TaskSpec> pending_specs_;
+  /// set_event_hook's callback; unannotated for the same reason.
+  std::function<void()> event_hook_;
   bool aborted_ ENTK_GUARDED_BY(mutex_) = false;
   Status abort_status_ ENTK_GUARDED_BY(mutex_);
   bool finished_ ENTK_GUARDED_BY(mutex_) = false;

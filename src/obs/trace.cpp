@@ -1,6 +1,8 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <unordered_map>
 
 namespace entk::obs {
 namespace {
@@ -40,36 +42,40 @@ namespace {
 
 // Session-name interning. Leaky for the same reason as the recorder:
 // labels may be resolved during static teardown by exporters.
-Mutex& session_registry_mutex() {
-  static Mutex* const mutex = new Mutex(LockRank::kSessionRegistry);
-  return *mutex;
-}
+struct SessionRegistry {
+  Mutex mutex{LockRank::kSessionRegistry};
+  /// Ordinal i + 1 names names[i]. A deque never moves its elements,
+  /// so the index keys can view them.
+  std::deque<std::string> names ENTK_GUARDED_BY(mutex);
+  std::unordered_map<std::string_view, std::uint32_t> index
+      ENTK_GUARDED_BY(mutex);
+};
 
-std::vector<std::string>& session_names() {
-  static std::vector<std::string>* const names =
-      new std::vector<std::string>();
-  return *names;
+SessionRegistry& session_registry() {
+  static SessionRegistry* const registry = new SessionRegistry();
+  return *registry;
 }
 
 }  // namespace
 
 std::uint32_t session_ordinal(std::string_view name) {
   if (name.empty()) return 0;
-  MutexLock lock(session_registry_mutex());
-  std::vector<std::string>& names = session_names();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) return static_cast<std::uint32_t>(i + 1);
-  }
-  names.emplace_back(name);
-  return static_cast<std::uint32_t>(names.size());
+  SessionRegistry& registry = session_registry();
+  MutexLock lock(registry.mutex);
+  const auto found = registry.index.find(name);
+  if (found != registry.index.end()) return found->second;
+  const std::string& interned = registry.names.emplace_back(name);
+  const auto ordinal = static_cast<std::uint32_t>(registry.names.size());
+  registry.index.emplace(interned, ordinal);
+  return ordinal;
 }
 
 std::string session_label(std::uint32_t ordinal) {
   if (ordinal == 0) return std::string();
-  MutexLock lock(session_registry_mutex());
-  const std::vector<std::string>& names = session_names();
-  if (ordinal > names.size()) return std::string();
-  return names[ordinal - 1];
+  SessionRegistry& registry = session_registry();
+  MutexLock lock(registry.mutex);
+  if (ordinal > registry.names.size()) return std::string();
+  return registry.names[ordinal - 1];
 }
 
 /// One thread's ring of event slabs. Only the owning thread writes;

@@ -64,7 +64,9 @@ std::uint32_t next_pilot_ordinal();
 
 /// Interns a session name and returns its process-wide 1-based trace
 /// ordinal; the same name always maps to the same ordinal. The empty
-/// name (legacy single-session runs) maps to ordinal 0.
+/// name (legacy single-session runs) maps to ordinal 0. One hash
+/// lookup under the registry mutex: callers on per-unit paths cache
+/// the ordinal per session instead (UnitManager::session_ordinal).
 std::uint32_t session_ordinal(std::string_view name);
 
 /// Name interned for `ordinal`; "" for ordinal 0 or unknown ordinals.

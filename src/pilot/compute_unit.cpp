@@ -13,6 +13,14 @@ ComputeUnit::ComputeUnit(std::string uid, UnitDescription description,
       trace_flow_(obs::trace_flow_id(uid_)),
       session_ordinal_(obs::session_ordinal(description_.session)) {}
 
+ComputeUnit::ComputeUnit(std::string uid, UnitDescription description,
+                         const Clock& clock, std::uint32_t session_ordinal)
+    : uid_(std::move(uid)),
+      description_(std::move(description)),
+      clock_(clock),
+      trace_flow_(obs::trace_flow_id(uid_)),
+      session_ordinal_(session_ordinal) {}
+
 UnitState ComputeUnit::state() const {
   MutexLock lock(mutex_);
   return state_;

@@ -26,8 +26,13 @@ class ComputeUnit {
  public:
   using Callback = std::function<void(ComputeUnit&, UnitState)>;
 
+  /// Interns description.session to find the trace ordinal.
   ComputeUnit(std::string uid, UnitDescription description,
               const Clock& clock);
+  /// Takes the owning session's already-interned trace ordinal (the
+  /// unit-manager path: no per-unit name lookup).
+  ComputeUnit(std::string uid, UnitDescription description,
+              const Clock& clock, std::uint32_t session_ordinal);
 
   const std::string& uid() const { return uid_; }
   const UnitDescription& description() const { return description_; }

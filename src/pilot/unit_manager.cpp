@@ -61,7 +61,8 @@ Result<std::vector<ComputeUnitPtr>> UnitManager::submit_units(
     ENTK_RETURN_IF_ERROR(description.validate());
     description.session = session_;
     auto unit = std::make_shared<ComputeUnit>(
-        unit_uids_.next(), std::move(description), backend_.clock());
+        unit_uids_.next(), std::move(description), backend_.clock(),
+        session_ordinal_);
     unit->stamp_created();
     ENTK_TRACE_INSTANT_FLOW_S("unit.created", "unit", unit->trace_flow(),
                               0, session_ordinal_);
@@ -81,8 +82,9 @@ Result<std::vector<ComputeUnitPtr>> UnitManager::submit_units(
     for (const auto& unit : units) {
       entries_.emplace(unit.get(), Entry{unit, false});
       unrouted_.push_back(unit);
-      ++total_units_;
     }
+    total_units_ += units.size();
+    inflight_ += units.size();
   }
   // Aggregate metrics by design. entk-lint: allow(global-run-state)
   obs::Metrics::instance()
@@ -129,7 +131,7 @@ void UnitManager::route_pending() {
         }
       }
       if (target == nullptr) {
-        entries_[unit.get()].settled = true;
+        mark_settled_locked(*unit);
         oversized.push_back(std::move(unit));
         continue;
       }
@@ -252,7 +254,7 @@ void UnitManager::settle_and_notify(ComputeUnit& unit, UnitState state) {
     MutexLock lock(mutex_);
     const auto it = entries_.find(&unit);
     if (it == entries_.end()) return;  // not managed here
-    it->second.settled = true;
+    mark_settled_locked(it->second);
     if (it->second.notified) return;  // already reported
     it->second.notified = true;
     settled = it->second.unit;
@@ -371,7 +373,7 @@ Status UnitManager::cancel_unit(const ComputeUnitPtr& unit) {
         std::find(unrouted_.begin(), unrouted_.end(), unit);
     if (held != unrouted_.end()) {
       unrouted_.erase(held);
-      entries_[unit.get()].settled = true;
+      mark_settled_locked(*unit);
     } else {
       for (const auto& pilot : pilots_) {
         if (pilot->agent() != nullptr) agents.push_back(pilot->agent());
@@ -422,7 +424,7 @@ Status UnitManager::drain(Duration timeout) {
       MutexLock lock(mutex_);
       const auto it = entries_.find(unit.get());
       if (it != entries_.end() && !it->second.settled) {
-        it->second.settled = true;
+        mark_settled_locked(it->second);
         retry_timers_.erase(unit.get());
         was_held = true;
       }
@@ -453,6 +455,23 @@ bool UnitManager::settled_locked(const ComputeUnit& unit) const {
   return it->second.settled;
 }
 
+void UnitManager::mark_settled_locked(Entry& entry) {
+  if (entry.settled) return;
+  entry.settled = true;
+  --inflight_;
+}
+
+void UnitManager::mark_settled_locked(const ComputeUnit& unit) {
+  const auto it = entries_.find(&unit);
+  ENTK_CHECK(it != entries_.end(), "settling unmanaged unit " + unit.uid());
+  mark_settled_locked(it->second);
+}
+
+bool UnitManager::is_settled(const ComputeUnit& unit) const {
+  MutexLock lock(mutex_);
+  return settled_locked(unit);
+}
+
 std::size_t UnitManager::total_units() const {
   MutexLock lock(mutex_);
   return total_units_;
@@ -460,11 +479,7 @@ std::size_t UnitManager::total_units() const {
 
 std::size_t UnitManager::inflight_units() const {
   MutexLock lock(mutex_);
-  std::size_t count = 0;
-  for (const auto& [pointer, entry] : entries_) {
-    if (!entry.settled) ++count;
-  }
-  return count;
+  return inflight_;
 }
 
 std::size_t UnitManager::total_retries() const {
@@ -515,7 +530,9 @@ void UnitManager::restore_unit(const ComputeUnitPtr& unit, bool settled,
   ENTK_CHECK(unit != nullptr, "cannot restore a null unit");
   {
     MutexLock lock(mutex_);
-    entries_.emplace(unit.get(), Entry{unit, settled, notified});
+    const bool inserted =
+        entries_.emplace(unit.get(), Entry{unit, settled, notified}).second;
+    if (inserted && !settled) ++inflight_;
   }
   // Settled units refuse the callback (they can never transition
   // again); everything else re-enters the normal retry/settle flow.

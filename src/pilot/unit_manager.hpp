@@ -139,8 +139,13 @@ class UnitManager {
 
   /// Number of units handed to this manager over its lifetime.
   std::size_t total_units() const ENTK_EXCLUDES(mutex_);
-  /// Units not yet settled.
+  /// Units not yet settled. O(1): a counter kept at every
+  /// unsettled->settled transition, at submit and at restore_unit.
   std::size_t inflight_units() const ENTK_EXCLUDES(mutex_);
+  /// Whether `unit` is settled: done, cancelled, or failed with retries
+  /// exhausted. Units not managed here report whether their state is
+  /// final.
+  bool is_settled(const ComputeUnit& unit) const ENTK_EXCLUDES(mutex_);
   /// Retries performed so far (every resubmission after a failure).
   std::size_t total_retries() const ENTK_EXCLUDES(mutex_);
   /// Units requeued off failed pilots (pilot-loss recovery).
@@ -195,7 +200,16 @@ class UnitManager {
       ENTK_EXCLUDES(mutex_);
 
  private:
+  struct Entry {
+    ComputeUnitPtr unit;
+    bool settled = false;
+    bool notified = false;  ///< Settled observers already fired.
+  };
+
   bool settled_locked(const ComputeUnit& unit) const ENTK_REQUIRES(mutex_);
+  /// The one place an entry turns settled (and inflight_ drops).
+  void mark_settled_locked(Entry& entry) ENTK_REQUIRES(mutex_);
+  void mark_settled_locked(const ComputeUnit& unit) ENTK_REQUIRES(mutex_);
   /// Routes every held unit to an active pilot (takes the lock itself;
   /// agent submission happens outside it so callbacks can re-enter).
   void route_pending() ENTK_EXCLUDES(mutex_);
@@ -235,12 +249,6 @@ class UnitManager {
   obs::Counter* session_submitted_ = nullptr;
   obs::Counter* session_retried_ = nullptr;
 
-  struct Entry {
-    ComputeUnitPtr unit;
-    bool settled = false;
-    bool notified = false;  ///< Settled observers already fired.
-  };
-
   mutable Mutex mutex_{LockRank::kUnitManager};
   std::vector<PilotPtr> pilots_ ENTK_GUARDED_BY(mutex_);
   std::size_t next_pilot_ ENTK_GUARDED_BY(mutex_) = 0;  // round-robin cursor
@@ -248,6 +256,8 @@ class UnitManager {
   std::unordered_map<const ComputeUnit*, Entry> entries_
       ENTK_GUARDED_BY(mutex_);
   std::size_t total_units_ ENTK_GUARDED_BY(mutex_) = 0;
+  /// Entries not yet settled (inflight_units()).
+  std::size_t inflight_ ENTK_GUARDED_BY(mutex_) = 0;
   std::size_t total_retries_ ENTK_GUARDED_BY(mutex_) = 0;
   std::size_t recovered_units_ ENTK_GUARDED_BY(mutex_) = 0;
   /// Immutable snapshot, rebuilt only when an observer is added or

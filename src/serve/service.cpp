@@ -376,6 +376,7 @@ void Service::run() {
   for (const auto& workload : active_) {
     if (workload->session != nullptr) {
       (void)workload->session->cancel_run();
+      mark_changed(*workload);
     }
   }
   if (!active_.empty()) {
@@ -409,6 +410,9 @@ void Service::process_mailbox() {
     for (const auto& workload : active_) {
       if (workload->id == id && workload->session != nullptr) {
         (void)workload->session->cancel_run();
+        // The cancel's own pump may finish the run (nothing in flight):
+        // the next advance notices.
+        mark_changed(*workload);
         break;
       }
     }
@@ -436,12 +440,22 @@ std::shared_ptr<Service::Workload> Service::pop_admissible() {
     if (!open) continue;
     std::shared_ptr<Workload> taken = candidate;
     queue_.erase(it);
+    // Counted as running in the same critical section that dequeues
+    // it, so drain() never sees the workload in neither place.
+    // start_workload undoes this if the start fails.
+    ++running_count_;
     return taken;
   }
   return nullptr;
 }
 
 void Service::start_workload(const std::shared_ptr<Workload>& workload) {
+  const auto fail = [this, &workload](Status why) {
+    finish_workload(workload, WorkloadState::kFailed, std::move(why),
+                    nullptr);
+    MutexLock lock(mailbox_mutex_);
+    --running_count_;
+  };
   core::SessionOptions options;
   options.name = workload->session_name;
   options.resources.cores = workload->spec.cores;
@@ -456,20 +470,18 @@ void Service::start_workload(const std::shared_ptr<Workload>& workload) {
 
   auto session = runtime_->create_session(std::move(options));
   if (!session.ok()) {
-    finish_workload(workload, WorkloadState::kFailed, session.status(),
-                    nullptr);
+    fail(session.status());
     return;
   }
   workload->session = session.take();
   const Status allocated = workload->session->allocate();
   if (!allocated.is_ok()) {
-    finish_workload(workload, WorkloadState::kFailed, allocated, nullptr);
+    fail(allocated);
     return;
   }
   auto pattern = core::build_pattern(workload->spec);
   if (!pattern.ok()) {
-    finish_workload(workload, WorkloadState::kFailed, pattern.status(),
-                    nullptr);
+    fail(pattern.status());
     return;
   }
   workload->pattern = pattern.take();
@@ -479,12 +491,19 @@ void Service::start_workload(const std::shared_ptr<Workload>& workload) {
   const Status started =
       workload->session->start_run(*workload->pattern, /*deferred=*/true);
   if (!started.is_ok()) {
-    finish_workload(workload, WorkloadState::kFailed, started, nullptr);
+    fail(started);
     return;
   }
-  workload->executor = workload->session->run_executor();
   committed_cores_ += workload->spec.cores;
   active_.push_back(workload);
+  workload->executor = workload->session->run_executor();
+  if (workload->executor != nullptr) {
+    Workload* raw = workload.get();
+    workload->executor->set_event_hook([this, raw] { mark_changed(*raw); });
+    // The start already pumped the initial frontier into the batch.
+    mark_changed(*workload);
+  }
+  if (workload->session->run_finished()) reap_due_ = true;
 
   double queue_wait = 0.0;
   {
@@ -497,10 +516,7 @@ void Service::start_workload(const std::shared_ptr<Workload>& workload) {
     ++owner.active_sessions;
     owner.peak_active_sessions =
         std::max(owner.peak_active_sessions, owner.active_sessions);
-  }
-  {
-    MutexLock lock(mailbox_mutex_);
-    ++running_count_;
+    join_slot(*workload, owner);
   }
   metrics()
       .histogram(obs::WellKnownHistogram::kServeQueueWaitSeconds)
@@ -512,12 +528,7 @@ void Service::drive_active() {
   obs::ScopedTraceClock trace_clock(backend_->clock());
   const auto wake = [this] {
     advance_and_flush();
-    if (mailbox_dirty()) return true;
-    return std::any_of(active_.begin(), active_.end(),
-                       [](const std::shared_ptr<Workload>& workload) {
-                         return workload->session != nullptr &&
-                                workload->session->run_finished();
-                       });
+    return reap_due_ || mailbox_dirty();
   };
   if (wake()) return;
   const Status driven = backend_->drive_until(wake);
@@ -526,10 +537,7 @@ void Service::drive_active() {
   // no session can settle, so fail every in-flight workload with the
   // drive verdict.
   for (const auto& workload : active_) {
-    if (workload->executor != nullptr) {
-      workload->executor->set_deferred(false);
-      workload->executor = nullptr;
-    }
+    detach_executor(*workload);
     if (workload->session != nullptr && workload->session->run_active()) {
       (void)workload->session->finish_run(driven);
     }
@@ -538,49 +546,111 @@ void Service::drive_active() {
   active_.clear();
 }
 
-void Service::advance_and_flush() {
-  std::vector<core::GraphExecutor*> executors;
-  executors.reserve(active_.size());
-  for (const auto& workload : active_) {
-    if (workload->executor != nullptr) {
-      executors.push_back(workload->executor);
-    }
+void Service::mark_changed(Workload& workload) {
+  if (workload.advance_due || workload.executor == nullptr) return;
+  workload.advance_due = true;
+  to_advance_.push_back(&workload);
+}
+
+void Service::set_backlogged(Workload& workload, bool backlogged) {
+  if (workload.backlogged == backlogged) return;
+  workload.backlogged = backlogged;
+  if (backlogged) {
+    ++backlogged_;
+  } else {
+    --backlogged_;
   }
-  if (executors.empty()) return;
+}
+
+void Service::detach_executor(Workload& workload) {
+  if (workload.executor == nullptr) return;
+  workload.executor->set_event_hook(nullptr);
+  workload.executor->set_deferred(false);
+  workload.executor = nullptr;
+  if (workload.advance_due) {
+    to_advance_.erase(
+        std::find(to_advance_.begin(), to_advance_.end(), &workload));
+    workload.advance_due = false;
+  }
+  set_backlogged(workload, false);
+}
+
+void Service::join_slot(Workload& workload, Tenant& tenant) {
+  auto it = std::lower_bound(
+      slots_.begin(), slots_.end(), workload.tenant,
+      [](const std::unique_ptr<TenantSlot>& slot, const std::string& name) {
+        return slot->name < name;
+      });
+  if (it == slots_.end() || (*it)->name != workload.tenant) {
+    auto slot = std::make_unique<TenantSlot>();
+    slot->name = workload.tenant;
+    slot->tenant = &tenant;
+    slot->dispatched = &metrics().counter(
+        "serve.tenant." + workload.tenant + ".dispatched_units");
+    it = slots_.insert(it, std::move(slot));
+  }
+  (*it)->running.push_back(&workload);
+  workload.slot = it->get();
+}
+
+void Service::leave_slot(Workload& workload) {
+  TenantSlot* slot = workload.slot;
+  if (slot == nullptr) return;
+  workload.slot = nullptr;
+  slot->running.erase(
+      std::find(slot->running.begin(), slot->running.end(), &workload));
+  if (!slot->running.empty()) return;
+  slots_.erase(std::find_if(slots_.begin(), slots_.end(),
+                            [slot](const std::unique_ptr<TenantSlot>& held) {
+                              return held.get() == slot;
+                            }));
+}
+
+void Service::advance_and_flush() {
   WorkStealingPool* pool = core::parallel_pool();
   for (;;) {
-    // Phase 1: advance every graph locally (no submissions yet). The
-    // graphs share no state, so a pool fans them out; the predicate
-    // runs between engine steps, so no settlement is mid-flight.
-    if (pool != nullptr && executors.size() > 1) {
-      pool->parallel_for(executors.size(),
-                         [&executors](std::size_t i) {
-                           executors[i]->advance_local();
-                         });
-    } else {
-      for (core::GraphExecutor* executor : executors) {
-        executor->advance_local();
+    // Phase 1: advance the graphs that changed since their last
+    // advance (no submissions yet); an unchanged graph's advance is a
+    // no-op. The graphs share no state, so a pool fans them out; the
+    // predicate runs between engine steps, so no settlement is
+    // mid-flight.
+    if (!to_advance_.empty()) {
+      advancing_.swap(to_advance_);
+      for (Workload* workload : advancing_) workload->advance_due = false;
+      if (pool != nullptr && advancing_.size() > 1) {
+        pool->parallel_for(advancing_.size(), [this](std::size_t i) {
+          advancing_[i]->executor->advance_local();
+        });
+      } else {
+        for (Workload* workload : advancing_) {
+          workload->executor->advance_local();
+        }
       }
+      for (Workload* workload : advancing_) {
+        set_backlogged(*workload,
+                       workload->executor->pending_submits() > 0);
+        if (workload->session->run_finished()) reap_due_ = true;
+      }
+      advancing_.clear();
     }
+    if (backlogged_ == 0) return;
 
     // Phase 2: per-tenant backlog (admission order within a tenant)
     // and in-flight totals against the global dispatch budget.
-    std::map<std::string, std::vector<Workload*>> backlog;
-    std::map<std::string, std::size_t> inflight_by_tenant;
     std::size_t inflight_total = 0;
-    for (const auto& workload : active_) {
-      if (workload->session != nullptr) {
-        const std::size_t inflight =
-            workload->session->unit_manager()->inflight_units();
-        inflight_by_tenant[workload->tenant] += inflight;
-        inflight_total += inflight;
+    order_.clear();
+    for (const auto& slot : slots_) {
+      slot->inflight = 0;
+      slot->ready.clear();
+      for (Workload* workload : slot->running) {
+        if (workload->session != nullptr) {
+          slot->inflight += workload->session->unit_manager()->inflight_units();
+        }
+        if (workload->backlogged) slot->ready.push_back(workload);
       }
-      if (workload->executor != nullptr &&
-          workload->executor->pending_submits() > 0) {
-        backlog[workload->tenant].push_back(workload.get());
-      }
+      inflight_total += slot->inflight;
+      if (!slot->ready.empty()) order_.push_back(slot.get());
     }
-    if (backlog.empty()) return;
     std::size_t global_headroom = inflight_budget_ > inflight_total
                                       ? inflight_budget_ - inflight_total
                                       : 0;
@@ -588,19 +658,16 @@ void Service::advance_and_flush() {
     // Contended round: two or more tenants want the budget at once —
     // exactly when the dispatch order is a policy decision. The
     // fairness-dispersion bench metric counts only these rounds.
-    const bool contended = backlog.size() >= 2;
+    const bool contended = order_.size() >= 2;
 
     // Service order: rotate which tenant gets first crack at the
     // global budget. Deficits even out credit across rounds; the
     // rotation evens out the tie-break when the budget runs dry
     // mid-round.
-    std::vector<std::string> order;
-    order.reserve(backlog.size());
-    for (const auto& [name, ready] : backlog) order.push_back(name);
-    std::rotate(order.begin(),
-                order.begin() +
-                    static_cast<std::ptrdiff_t>(drr_cursor_ % order.size()),
-                order.end());
+    std::rotate(order_.begin(),
+                order_.begin() +
+                    static_cast<std::ptrdiff_t>(drr_cursor_ % order_.size()),
+                order_.end());
     ++drr_cursor_;
 
     // Phase 3: weighted deficit round-robin over the backlogged
@@ -609,30 +676,30 @@ void Service::advance_and_flush() {
     std::size_t flushed_total = 0;
     {
       MutexLock registry(registry_mutex_);
-      for (const std::string& name : order) {
+      for (TenantSlot* slot : order_) {
         if (global_headroom == 0) break;
-        const std::vector<Workload*>& ready = backlog[name];
-        Tenant& owner = tenant_locked(name);
+        Tenant& owner = *slot->tenant;
         const double credit = owner.config.weight *
                               static_cast<double>(quantum_);
         owner.deficit =
             std::min(owner.deficit + credit, credit * kDeficitCapRounds);
-        const std::size_t inflight = inflight_by_tenant[name];
         const std::size_t headroom =
-            owner.config.max_inflight_units > inflight
-                ? owner.config.max_inflight_units - inflight
+            owner.config.max_inflight_units > slot->inflight
+                ? owner.config.max_inflight_units - slot->inflight
                 : 0;
         std::size_t allowance = std::min(
             {static_cast<std::size_t>(owner.deficit), headroom,
              global_headroom});
-        for (Workload* workload : ready) {
+        for (Workload* workload : slot->ready) {
           if (allowance == 0) break;
           const std::size_t flushed =
               workload->executor->flush_submit_bounded(allowance);
           if (flushed == 0) continue;
+          // The flush may have unblocked or failed work: re-advance.
+          mark_changed(*workload);
           allowance -= flushed;
           global_headroom -= flushed;
-          inflight_by_tenant[name] += flushed;
+          slot->inflight += flushed;
           owner.deficit -= static_cast<double>(flushed);
           flushed_total += flushed;
           workload->dispatched_units += flushed;
@@ -649,14 +716,13 @@ void Service::advance_and_flush() {
           metrics()
               .counter(obs::WellKnownCounter::kServeDispatchedUnits)
               .add(flushed);
-          metrics()
-              .counter("serve.tenant." + name + ".dispatched_units")
-              .add(flushed);
+          slot->dispatched->add(flushed);
         }
         // A drained tenant keeps no credit: deficits meter contention,
         // not idleness.
         const bool drained = std::all_of(
-            ready.begin(), ready.end(), [](const Workload* workload) {
+            slot->ready.begin(), slot->ready.end(),
+            [](const Workload* workload) {
               return workload->executor->pending_submits() == 0;
             });
         if (drained) owner.deficit = 0.0;
@@ -669,6 +735,7 @@ void Service::advance_and_flush() {
 }
 
 void Service::reap_finished() {
+  reap_due_ = false;
   for (auto it = active_.begin(); it != active_.end();) {
     const std::shared_ptr<Workload>& workload = *it;
     if (workload->session == nullptr ||
@@ -676,10 +743,7 @@ void Service::reap_finished() {
       ++it;
       continue;
     }
-    if (workload->executor != nullptr) {
-      workload->executor->set_deferred(false);
-      workload->executor = nullptr;
-    }
+    detach_executor(*workload);
     auto report = workload->session->finish_run(Status::ok());
     if (!report.ok()) {
       finish_workload(workload, WorkloadState::kFailed, report.status(),
@@ -701,10 +765,8 @@ void Service::reap_finished() {
 void Service::finish_workload(const std::shared_ptr<Workload>& workload,
                               WorkloadState state, Status outcome,
                               const core::RunReport* report) {
-  if (workload->executor != nullptr) {
-    workload->executor->set_deferred(false);
-    workload->executor = nullptr;
-  }
+  detach_executor(*workload);
+  leave_slot(*workload);
   if (workload->session != nullptr) {
     (void)workload->session->deallocate();
     workload->session.reset();

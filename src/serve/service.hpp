@@ -19,11 +19,12 @@
 //   weighted fair-share deficit round-robin over frontier dispatch:
 //                       every running session's graph executor defers
 //                       its pumping, and the drive predicate advances
-//                       all graphs in parallel (work-stealing pool),
-//                       then flushes ready nodes tenant-by-tenant in
-//                       weight-proportional quanta, bounded by a
-//                       global in-flight budget (the scarce resource
-//                       the arbitration divides).
+//                       the graphs that changed since their last
+//                       advance (in parallel on the work-stealing
+//                       pool), then flushes ready nodes
+//                       tenant-by-tenant in weight-proportional quanta,
+//                       bounded by a global in-flight budget (the
+//                       scarce resource the arbitration divides).
 //
 // Threading: listener/client threads call submit/status/cancel/
 // results/stats/handle_line; ONE drive thread calls run() (or the
@@ -51,6 +52,10 @@
 #include "pilot/sim_backend.hpp"
 #include "serve/tenant.hpp"
 #include "sim/machine.hpp"
+
+namespace entk::obs {
+class Counter;
+}  // namespace entk::obs
 
 namespace entk::serve {
 
@@ -190,6 +195,8 @@ class Service {
   const ServiceConfig& config() const { return config_; }
 
  private:
+  struct TenantSlot;
+
   /// One submitted workload, queued → running → terminal.
   struct Workload {
     std::uint64_t id = 0;
@@ -213,6 +220,9 @@ class Service {
     std::shared_ptr<core::Session> session;
     std::unique_ptr<core::ExecutionPattern> pattern;
     core::GraphExecutor* executor = nullptr;
+    TenantSlot* slot = nullptr;  ///< Set while running.
+    bool advance_due = false;  ///< Listed in to_advance_.
+    bool backlogged = false;   ///< Counted in backlogged_.
   };
 
   /// Tenant policy + tallies; guarded by registry_mutex_ except
@@ -233,6 +243,19 @@ class Service {
     double deficit = 0.0;
   };
 
+  /// Drive-thread view of one tenant with running workloads: the
+  /// fair-share pass reads its backlog and in-flight total here
+  /// instead of rebuilding name-keyed maps on every engine event.
+  struct TenantSlot {
+    std::string name;
+    Tenant* tenant = nullptr;  ///< Node of tenants_; never erased.
+    obs::Counter* dispatched = nullptr;  ///< serve.tenant.<name>...
+    std::vector<Workload*> running;  ///< Admission order.
+    // Per-pass scratch.
+    std::vector<Workload*> ready;  ///< Running with a pending batch.
+    std::size_t inflight = 0;
+  };
+
   explicit Service(ServiceConfig config, sim::MachineProfile machine);
 
   Tenant& tenant_locked(std::string_view name)
@@ -246,10 +269,19 @@ class Service {
       ENTK_EXCLUDES(mailbox_mutex_, registry_mutex_);
   void start_workload(const std::shared_ptr<Workload>& workload);
   void drive_active();
-  /// The fair-share heart: advance every running graph, then flush
-  /// ready nodes per tenant in weighted DRR quanta, bounded by each
-  /// tenant's in-flight-unit headroom.
+  /// The fair-share heart: advance the running graphs that changed,
+  /// then flush ready nodes per tenant in weighted DRR quanta, bounded
+  /// by each tenant's in-flight-unit headroom. Returns at once when no
+  /// graph has a pending batch.
   void advance_and_flush();
+  /// Queues `workload`'s graph for the next advance (a settlement was
+  /// queued, or it was started, flushed or cancelled).
+  void mark_changed(Workload& workload);
+  /// Unhooks the graph executor from the drive loop's bookkeeping.
+  void detach_executor(Workload& workload);
+  void set_backlogged(Workload& workload, bool backlogged);
+  void join_slot(Workload& workload, Tenant& tenant);
+  void leave_slot(Workload& workload);
   void reap_finished();
   void finish_workload(const std::shared_ptr<Workload>& workload,
                        WorkloadState state, Status outcome,
@@ -289,6 +321,17 @@ class Service {
 
   // Drive-thread only.
   std::vector<std::shared_ptr<Workload>> active_;
+  /// Tenants with running workloads, sorted by name (the DRR order).
+  std::vector<std::unique_ptr<TenantSlot>> slots_;
+  /// Graphs to advance at the next pass; `advancing_` and `order_` are
+  /// scratch kept to reuse their storage.
+  std::vector<Workload*> to_advance_;
+  std::vector<Workload*> advancing_;
+  std::vector<TenantSlot*> order_;
+  /// Running workloads whose graph holds a pending batch.
+  std::size_t backlogged_ = 0;
+  /// A run settled since the last reap_finished().
+  bool reap_due_ = false;
   Count committed_cores_ = 0;
   std::size_t inflight_budget_ = 0;
   /// Rotates which backlogged tenant gets first crack at the global

@@ -14,6 +14,7 @@
 
 #include "ckpt/coordinator.hpp"
 #include "ckpt/snapshot.hpp"
+#include "common/rng.hpp"
 #include "common/uid.hpp"
 #include "core/entk.hpp"
 #include "pilot/agent.hpp"
@@ -392,6 +393,168 @@ TEST(FaultTolerance, WaitUnitsFiniteTimeoutExpiresWithoutSettling) {
   ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
   EXPECT_EQ(units.value()[0]->state(), UnitState::kDone);
   EXPECT_EQ(manager.inflight_units(), 0u);
+}
+
+// -------------------------------------------- in-flight unit counter
+
+/// Tallies which transition paths a random sequence actually took.
+struct InflightCoverage {
+  std::size_t unrouted_cancels = 0;
+  std::size_t oversized = 0;
+  std::size_t retries = 0;
+  std::size_t exhausted = 0;
+  std::size_t recovered = 0;
+  std::size_t mismatches = 0;
+};
+
+/// One seeded sequence of submits (plain, failing with a retry left,
+/// failing with none left, oversized), cancels and engine steps on two
+/// pilots, one of which expires mid-run. inflight_units() is checked
+/// against per-unit truth after every step and every engine event.
+void run_inflight_sequence(std::uint64_t seed, InflightCoverage& coverage) {
+  SimBackend backend(sim::localhost_profile());
+  PilotManager pilots(backend);
+  PilotDescription survivor;
+  survivor.resource = "localhost";
+  survivor.cores = 8;
+  survivor.runtime = 100000.0;
+  PilotDescription doomed = survivor;
+  doomed.runtime = 120.0;
+  auto long_pilot = pilots.submit_pilot(survivor);
+  auto short_pilot = pilots.submit_pilot(doomed);
+  ASSERT_TRUE(long_pilot.ok());
+  ASSERT_TRUE(short_pilot.ok());
+  UnitManager manager(backend);
+  manager.add_pilot(long_pilot.value());
+  manager.add_pilot(short_pilot.value());
+
+  std::vector<ComputeUnitPtr> submitted;
+  const auto unsettled = [&] {
+    std::size_t count = 0;
+    for (const auto& unit : submitted) {
+      if (!manager.is_settled(*unit)) ++count;
+    }
+    return count;
+  };
+  const auto check = [&] {
+    if (manager.inflight_units() != unsettled()) ++coverage.mismatches;
+  };
+  const auto submit = [&](UnitDescription description) {
+    auto units = manager.submit_units({std::move(description)});
+    ASSERT_TRUE(units.ok()) << units.status().to_string();
+    submitted.push_back(units.value().front());
+  };
+  // The drive predicate runs between engine steps: check at every one.
+  const auto drive_for = [&](Duration span) {
+    (void)backend.drive_until(
+        [&] {
+          check();
+          return false;
+        },
+        span);
+  };
+
+  Xoshiro256 rng(seed);
+  const auto plain = [&rng] {
+    return simple_unit(rng.uniform(20.0, 60.0),
+                       static_cast<Count>(1 + rng.uniform_index(4)));
+  };
+  // Pilots are still queued: these units stay unrouted, so cancelling
+  // one exercises the unrouted path.
+  for (int i = 0; i < 4; ++i) submit(plain());
+  ASSERT_TRUE(manager.cancel_unit(submitted[1]).is_ok());
+  ++coverage.unrouted_cancels;
+  check();
+
+  for (int step = 0; step < 300; ++step) {
+    switch (rng.uniform_index(6)) {
+      case 0:
+        submit(plain());
+        break;
+      case 1: {
+        auto description = plain();
+        description.simulated_fail = true;  // first attempt fails
+        description.retry.max_retries = 1;
+        description.retry.backoff_base = rng.uniform(0.0, 10.0);
+        submit(std::move(description));
+        break;
+      }
+      case 2: {
+        auto description = plain();
+        description.simulated_fail = true;
+        submit(std::move(description));  // no retry budget
+        ++coverage.exhausted;
+        break;
+      }
+      case 3:
+        submit(simple_unit(5.0, 64));  // larger than either pilot
+        ++coverage.oversized;
+        break;
+      case 4: {
+        const ComputeUnitPtr& unit =
+            submitted[rng.uniform_index(submitted.size())];
+        (void)manager.cancel_unit(unit);
+        break;
+      }
+      default:
+        drive_for(rng.uniform(1.0, 15.0));
+        break;
+    }
+    check();
+  }
+  ASSERT_TRUE(backend
+                  .drive_until([&] {
+                    check();
+                    return unsettled() == 0;
+                  })
+                  .is_ok());
+  EXPECT_EQ(manager.inflight_units(), 0u);
+  coverage.retries += manager.total_retries();
+  coverage.recovered += manager.recovered_units();
+}
+
+TEST(UnitManagerInflight, CounterMatchesPerUnitTruthAtEveryStep) {
+  InflightCoverage coverage;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    run_inflight_sequence(seed, coverage);
+  }
+  EXPECT_EQ(coverage.mismatches, 0u);
+  // Every transition path was taken at least once.
+  EXPECT_GT(coverage.unrouted_cancels, 0u);
+  EXPECT_GT(coverage.oversized, 0u);
+  EXPECT_GT(coverage.retries, 0u);
+  EXPECT_GT(coverage.exhausted, 0u);
+  EXPECT_GT(coverage.recovered, 0u);
+}
+
+TEST(UnitManagerInflight, RestoreCountsOnlyUnsettledEntries) {
+  SimBackend backend(sim::localhost_profile());
+  UnitManager manager(backend);
+  Xoshiro256 rng(0x5e771edULL);
+  std::vector<ComputeUnitPtr> restored;
+  std::size_t unsettled = 0;
+  for (int i = 0; i < 64; ++i) {
+    auto unit = std::make_shared<ComputeUnit>(
+        "restored." + std::to_string(i), simple_unit(10.0),
+        backend.clock());
+    ASSERT_TRUE(unit->advance_state(UnitState::kPendingExecution).is_ok());
+    const bool settled = rng.uniform() < 0.5;
+    manager.restore_unit(unit, settled, settled);
+    if (!settled) ++unsettled;
+    EXPECT_EQ(manager.is_settled(*unit), settled);
+    EXPECT_EQ(manager.inflight_units(), unsettled);
+    restored.push_back(std::move(unit));
+  }
+  // Restoring a unit twice keeps the first entry and the count.
+  manager.restore_unit(restored.front(), false, false);
+  EXPECT_EQ(manager.inflight_units(), unsettled);
+  // Restored unsettled units settle through the normal path.
+  for (const auto& unit : restored) {
+    if (manager.is_settled(*unit)) continue;
+    ASSERT_TRUE(manager.cancel_unit(unit).is_ok());
+    EXPECT_EQ(manager.inflight_units(), --unsettled);
+  }
 }
 
 // ----------------------------------------- exhaustive transition tables

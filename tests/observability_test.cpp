@@ -17,6 +17,8 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "pilot/sim_backend.hpp"
+#include "pilot/unit_manager.hpp"
 
 namespace entk {
 namespace {
@@ -116,6 +118,55 @@ TEST(TraceFlow, IdsAreStableAndNonZero) {
   EXPECT_EQ(a, obs::trace_flow_id("unit.0000"));
   EXPECT_NE(a, obs::trace_flow_id("unit.0001"));
   EXPECT_EQ(obs::trace_flow_id(""), obs::trace_flow_id(""));
+}
+
+// ---------------------------------------------------- session ordinals
+
+TEST(SessionOrdinal, EmptyNameIsZero) {
+  EXPECT_EQ(obs::session_ordinal(""), 0u);
+  EXPECT_EQ(obs::session_label(0), "");
+}
+
+TEST(SessionOrdinal, ManyNamesInternToDistinctStableOrdinals) {
+  constexpr int kNames = 10000;
+  std::vector<std::string> names;
+  std::vector<std::uint32_t> ordinals;
+  for (int i = 0; i < kNames; ++i) {
+    names.push_back("ordinal-test.session." + std::to_string(i));
+    ordinals.push_back(obs::session_ordinal(names.back()));
+    EXPECT_NE(ordinals.back(), 0u);
+  }
+  std::vector<std::uint32_t> distinct = ordinals;
+  std::sort(distinct.begin(), distinct.end());
+  EXPECT_EQ(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  for (int i = 0; i < kNames; ++i) {
+    EXPECT_EQ(obs::session_ordinal(names[i]), ordinals[i]);
+    EXPECT_EQ(obs::session_label(ordinals[i]), names[i]);
+  }
+  EXPECT_EQ(obs::session_label(distinct.back() + 1), "");
+}
+
+TEST(SessionOrdinal, UnitsCarryTheirManagersOrdinal) {
+  pilot::SimBackend backend(sim::localhost_profile());
+  pilot::UnitManager manager(backend, "ordinal-test.named");
+  EXPECT_NE(manager.session_ordinal(), 0u);
+  EXPECT_EQ(manager.session_ordinal(),
+            obs::session_ordinal("ordinal-test.named"));
+  pilot::UnitDescription description;
+  description.executable = "/bin/true";
+  description.simulated_duration = 1.0;
+  // No pilot: the units stay unrouted, which is all this needs.
+  auto units = manager.submit_units({description, description});
+  ASSERT_TRUE(units.ok()) << units.status().to_string();
+  for (const auto& unit : units.value()) {
+    EXPECT_EQ(unit->description().session, "ordinal-test.named");
+    EXPECT_EQ(unit->session_ordinal(), manager.session_ordinal());
+  }
+  // A unit built outside a manager interns the same name to the same
+  // ordinal.
+  description.session = "ordinal-test.named";
+  const pilot::ComputeUnit loose("loose.0", description, backend.clock());
+  EXPECT_EQ(loose.session_ordinal(), manager.session_ordinal());
 }
 
 // ------------------------------------------------------------- metrics

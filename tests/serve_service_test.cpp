@@ -41,6 +41,36 @@ core::WorkloadSpec bag_spec(std::size_t units, Count cores = 2) {
   return spec.take();
 }
 
+/// `pipelines` chains of `stages` sleeps: every settle releases the
+/// pipeline's next stage.
+core::WorkloadSpec eop_spec(std::size_t pipelines, std::size_t stages) {
+  std::string text =
+      "backend = sim\nmachine = localhost\ncores = 2\nruntime = 36000\n"
+      "pattern = eop\npipelines = " +
+      std::to_string(pipelines) + "\nstages = " + std::to_string(stages) +
+      "\n";
+  for (std::size_t s = 1; s <= stages; ++s) {
+    text += "\n[stage" + std::to_string(s) +
+            "]\nkernel = misc.sleep\nduration = " + std::to_string(s) +
+            "\n";
+  }
+  auto spec = core::parse_workload(text);
+  EXPECT_TRUE(spec.ok()) << spec.status().to_string();
+  return spec.take();
+}
+
+/// Polls until `id` is terminal and returns its results.
+WorkloadStatus await_terminal(Service& service, std::uint64_t id) {
+  for (;;) {
+    auto status = service.status(id);
+    EXPECT_TRUE(status.ok());
+    if (!status.ok() || is_terminal(status.value().state)) {
+      return status.ok() ? status.value() : WorkloadStatus{};
+    }
+    std::this_thread::yield();
+  }
+}
+
 /// A service plus a drive thread, torn down in order.
 struct Driven {
   std::unique_ptr<Service> service;
@@ -296,6 +326,126 @@ TEST(ServeService, WeightedFairShareTracksWeightsUnderContention) {
   EXPECT_LT(ratio, 4.5) << "heavy " << contended_heavy << " light "
                         << contended_light;
   EXPECT_EQ(stats.completed, 16u);
+}
+
+TEST(ServeService, FairShareDecisionsArePinned) {
+  // Every workload is queued before the drive thread starts, so
+  // admission and every DRR round depend only on the drive thread and
+  // the virtual clock. The contended tallies fingerprint every
+  // dispatch decision of the run: a drive-pass change that moves any
+  // of them changes the fair-share policy, not just its cost.
+  ServiceConfig config;
+  config.max_active_sessions = 6;
+  config.max_inflight_total = 12;
+  config.drr_quantum = 3;
+  auto created = Service::create(config);
+  ASSERT_TRUE(created.ok());
+  Service& service = *created.value();
+  const char* names[] = {"a", "b", "c", "d"};
+  const double weights[] = {1.0, 2.0, 0.4, 3.0};  // 0.4 banks credit
+  for (int t = 0; t < 4; ++t) {
+    TenantConfig tenant;
+    tenant.weight = weights[t];
+    tenant.max_inflight_units = t == 3 ? 5 : 4096;
+    tenant.max_sessions = t == 1 ? 1 : 3;
+    ASSERT_TRUE(service.configure_tenant(names[t], tenant).is_ok());
+  }
+  for (int i = 0; i < 40; ++i) {
+    const auto size = static_cast<std::size_t>(i);
+    const core::WorkloadSpec spec =
+        i % 3 == 0 ? eop_spec(2 + size % 5, 3)
+                   : bag_spec(1 + (size * 13) % 40, 1 + i % 3);
+    ASSERT_TRUE(service.submit(names[(i * 3 + i / 4) % 4], spec).ok());
+  }
+  std::thread driver([&service] { service.run(); });
+  service.drain();
+  service.shutdown();
+  driver.join();
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.completed, 40u);
+  std::vector<std::uint64_t> contended;
+  for (const TenantStats& tenant : stats.tenants) {
+    contended.push_back(tenant.contended_dispatched_units);
+  }
+  EXPECT_EQ(contended, (std::vector<std::uint64_t>{109, 104, 154, 131}));
+}
+
+// ---------------------------------------------------------------------
+// Changed-only advance: runs that finish without a further dispatch
+// ---------------------------------------------------------------------
+
+TEST(ServeService, CancelWithNothingInFlightStillFinishes) {
+  ServiceConfig config;
+  TenantConfig slow;
+  slow.max_inflight_units = 1;
+  config.default_tenant = slow;
+  Driven driven(std::move(config));
+  // The first bag holds the tenant's one in-flight slot all run and
+  // always flushes first, so the second is RUNNING but never
+  // dispatches: nothing of it is in flight when the CANCEL lands, and
+  // only the cancel itself can finish its run.
+  auto hog = driven.service->submit("alice", bag_spec(20000));
+  auto idle = driven.service->submit("alice", bag_spec(8));
+  ASSERT_TRUE(hog.ok());
+  ASSERT_TRUE(idle.ok());
+  while (driven.service->status(idle.value()).value().state !=
+         WorkloadState::kRunning) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(driven.service->cancel(idle.value()).is_ok());
+  const WorkloadStatus cancelled =
+      await_terminal(*driven.service, idle.value());
+  EXPECT_EQ(cancelled.state, WorkloadState::kCancelled);
+  EXPECT_EQ(cancelled.outcome.code(), Errc::kCancelled);
+  EXPECT_EQ(cancelled.dispatched_units, 0u);
+  EXPECT_EQ(cancelled.units_done, 0u);
+  EXPECT_EQ(driven.service->status(hog.value()).value().state,
+            WorkloadState::kRunning);
+  ASSERT_TRUE(driven.service->cancel(hog.value()).is_ok());
+  driven.service->drain();
+  EXPECT_EQ(driven.service->stats().cancelled, 2u);
+}
+
+TEST(ServeService, LastSettlementQuiescesEveryRunToDone) {
+  ServiceConfig config;
+  config.max_inflight_total = 3;  // many passes, most of them idle
+  Driven driven(std::move(config));
+  const std::vector<std::size_t> sizes = {1, 5, 17, 2};
+  std::vector<std::pair<std::uint64_t, std::size_t>> ids;
+  for (const std::size_t units : sizes) {
+    for (const char* tenant : {"alice", "bob"}) {
+      auto id = driven.service->submit(tenant, bag_spec(units));
+      ASSERT_TRUE(id.ok());
+      ids.emplace_back(id.value(), units);
+    }
+  }
+  driven.service->drain();
+  for (const auto& [id, units] : ids) {
+    const WorkloadStatus done = driven.service->results(id).value();
+    EXPECT_EQ(done.state, WorkloadState::kDone) << "workload " << id;
+    EXPECT_EQ(done.units_done, units) << "workload " << id;
+    EXPECT_EQ(done.dispatched_units, units) << "workload " << id;
+  }
+  EXPECT_EQ(driven.service->stats().completed, ids.size());
+}
+
+TEST(ServeService, PipelineStagesReleaseSuccessorsToDone) {
+  ServiceConfig config;
+  config.max_inflight_total = 4;
+  Driven driven(std::move(config));
+  std::vector<std::uint64_t> ids;
+  for (const char* tenant : {"alice", "bob", "carol"}) {
+    auto id = driven.service->submit(tenant, eop_spec(6, 3));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
+  }
+  driven.service->drain();
+  for (const std::uint64_t id : ids) {
+    const WorkloadStatus done = driven.service->results(id).value();
+    EXPECT_EQ(done.state, WorkloadState::kDone) << "workload " << id;
+    EXPECT_EQ(done.units_done, 18u) << "workload " << id;
+    EXPECT_EQ(done.dispatched_units, 18u) << "workload " << id;
+  }
 }
 
 // ---------------------------------------------------------------------
