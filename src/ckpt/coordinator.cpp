@@ -153,18 +153,26 @@ Result<Snapshot> Coordinator::capture() {
   }
 
   pilot::UnitManager* manager = session_.unit_manager();
-  for (const auto& unit : plugin_->all_units()) {
-    UnitRecord record;
-    record.uid = unit->uid();
-    record.description = unit->description();
-    record.state = unit->save_state();
-    if (!manager->unit_entry(unit.get(), record.settled,
-                             record.notified)) {
-      return make_error(Errc::kInternal,
-                        "unit " + record.uid +
-                            " is not managed; cannot checkpoint");
-    }
-    snap.units.push_back(std::move(record));
+  std::vector<pilot::ComputeUnitPtr> units = plugin_->all_units();
+  std::vector<pilot::UnitManager::EntryFlags> flags;
+  const std::size_t unmanaged = manager->unit_entries(units, flags);
+  if (unmanaged != units.size()) {
+    return make_error(Errc::kInternal,
+                      "unit " + units[unmanaged]->uid() +
+                          " is not managed; cannot checkpoint");
+  }
+  snap.units.reserve(units.size());
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    const pilot::ComputeUnit& unit = *units[i];
+    UnitRecord& record = snap.units.emplace_back();
+    record.uid = unit.uid();
+    record.state = unit.save_state();
+    record.settled = flags[i].settled;
+    record.notified = flags[i].notified;
+    // Aliases the unit's immutable description: nothing is copied, and
+    // the record keeps the unit alive until the snapshot is dropped.
+    record.description = std::shared_ptr<const pilot::UnitDescription>(
+        std::move(units[i]), &unit.description());
   }
   snap.pattern_overhead = plugin_->pattern_overhead();
   snap.unit_manager = manager->save_state();
@@ -305,7 +313,7 @@ Status Coordinator::restore_runtime(const Snapshot& snap) {
   ordered.reserve(snap.units.size());
   for (const auto& record : snap.units) {
     auto unit = std::make_shared<pilot::ComputeUnit>(
-        record.uid, record.description, backend_.clock(),
+        record.uid, *record.description, backend_.clock(),
         manager->session_ordinal());
     unit->restore_state(record.state);
     manager->restore_unit(unit, record.settled, record.notified);

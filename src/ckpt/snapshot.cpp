@@ -1,8 +1,9 @@
 #include "ckpt/snapshot.hpp"
 
+#include <bit>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "common/atomic_file.hpp"
 
@@ -21,29 +22,35 @@ namespace {
 
 // ------------------------------------------------------------ encoding
 
+// The format is defined little-endian, and fixed-width fields are
+// copied straight out of their in-memory representation.
+static_assert(std::endian::native == std::endian::little,
+              "snapshot encoding assumes a little-endian host");
+
+/// 8 magic + 4 version + 8 payload size + 8 checksum.
+constexpr std::size_t kHeaderSize = sizeof(kSnapshotMagic) + 4 + 8 + 8;
+
+/// Encodes fields at a cursor. A Writer built without a buffer only
+/// measures: encode_snapshot runs the one put_* walk twice, first to
+/// size the file image exactly, then to fill it, so the image is
+/// allocated once and never regrown or copied.
 class Writer {
  public:
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      out_.push_back(static_cast<char>((v >> shift) & 0xff));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      out_.push_back(static_cast<char>((v >> shift) & 0xff));
-    }
-  }
+  Writer() = default;
+  explicit Writer(char* out) : out_(out) {}
+
+  void u8(std::uint8_t v) { raw(&v, sizeof(v)); }
+  void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
+  void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
   void f64(double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
+    static_assert(sizeof(v) == sizeof(std::uint64_t),
+                  "double must be 64-bit");
+    raw(&v, sizeof(v));
   }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void str(const std::string& v) {
     u64(v.size());
-    out_.append(v);
+    raw(v.data(), v.size());
   }
   void status(const Status& v) {
     u32(static_cast<std::uint32_t>(v.code()));
@@ -54,11 +61,16 @@ class Writer {
     f64(v.cached_normal);
     boolean(v.has_cached_normal);
   }
+  void raw(const void* data, std::size_t n) {
+    if (out_ != nullptr) std::memcpy(out_ + size_, data, n);
+    size_ += n;
+  }
 
-  std::string take() { return std::move(out_); }
+  std::size_t size() const { return size_; }
 
  private:
-  std::string out_;
+  char* out_ = nullptr;
+  std::size_t size_ = 0;
 };
 
 void put_staging(Writer& w, const std::vector<pilot::StagingDirective>& v) {
@@ -205,32 +217,9 @@ class Reader {
     if (!require(1)) return 0;
     return static_cast<std::uint8_t>(data_[pos_++]);
   }
-  std::uint32_t u32() {
-    if (!require(4)) return 0;
-    std::uint32_t v = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(data_[pos_++]))
-           << shift;
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!require(8)) return 0;
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 8) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(data_[pos_++]))
-           << shift;
-    }
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
+  std::uint32_t u32() { return fixed<std::uint32_t>(); }
+  std::uint64_t u64() { return fixed<std::uint64_t>(); }
+  double f64() { return fixed<double>(); }
   bool boolean() { return u8() != 0; }
   std::string str() {
     const std::uint64_t size = u64();
@@ -291,6 +280,14 @@ class Reader {
   }
 
  private:
+  template <typename T>
+  T fixed() {
+    T v{};
+    if (!require(sizeof(T))) return v;
+    std::memcpy(&v, data_.data() + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return v;
+  }
   bool require(std::size_t n) {
     if (!ok_) return false;
     if (data_.size() - pos_ < n) {
@@ -482,8 +479,7 @@ core::GraphExecutor::SavedState get_graph(Reader& r) {
   return g;
 }
 
-std::string encode_payload(const Snapshot& snapshot) {
-  Writer w;
+void put_payload(Writer& w, const Snapshot& snapshot) {
   w.str(snapshot.machine);
   w.u64(static_cast<std::uint64_t>(snapshot.cores));
   w.u64(static_cast<std::uint64_t>(snapshot.n_pilots));
@@ -501,7 +497,7 @@ std::string encode_payload(const Snapshot& snapshot) {
   w.u64(snapshot.units.size());
   for (const auto& unit : snapshot.units) {
     w.str(unit.uid);
-    put_description(w, unit.description);
+    put_description(w, *unit.description);
     put_unit_state(w, unit.state);
     w.boolean(unit.settled);
     w.boolean(unit.notified);
@@ -528,7 +524,6 @@ std::string encode_payload(const Snapshot& snapshot) {
   w.boolean(snapshot.has_faults);
   if (snapshot.has_faults) put_faults(w, snapshot.faults);
   put_graph(w, snapshot.graph);
-  return w.take();
 }
 
 Result<Snapshot> decode_payload(std::string_view payload,
@@ -554,7 +549,8 @@ Result<Snapshot> decode_payload(std::string_view payload,
   for (std::uint64_t i = 0; i < n_units && r.ok(); ++i) {
     UnitRecord unit;
     unit.uid = r.str();
-    unit.description = get_description(r, version);
+    unit.description = std::make_shared<const pilot::UnitDescription>(
+        get_description(r, version));
     unit.state = get_unit_state(r);
     unit.settled = r.boolean();
     unit.notified = r.boolean();
@@ -600,19 +596,26 @@ Result<Snapshot> decode_payload(std::string_view payload,
 }  // namespace
 
 std::string encode_snapshot(const Snapshot& snapshot) {
-  const std::string payload = encode_payload(snapshot);
-  Writer header;
-  std::string out(kSnapshotMagic, sizeof(kSnapshotMagic));
-  header.u32(kFormatVersion);
-  header.u64(payload.size());
-  header.u64(fnv1a(payload));
-  out += header.take();
-  out += payload;
+  Writer measure;
+  put_payload(measure, snapshot);
+  const std::size_t payload_size = measure.size();
+  std::string out(kHeaderSize + payload_size, '\0');
+  Writer w(out.data());
+  w.raw(kSnapshotMagic, sizeof(kSnapshotMagic));
+  w.u32(kFormatVersion);
+  w.u64(payload_size);
+  w.u64(0);  // checksum, filled in once the payload is in place
+  put_payload(w, snapshot);
+  ENTK_CHECK(w.size() == out.size(),
+             "snapshot encoder wrote a different size than it measured");
+  const std::uint64_t checksum =
+      fnv1a(std::string_view(out).substr(kHeaderSize));
+  std::memcpy(out.data() + kHeaderSize - sizeof(checksum), &checksum,
+              sizeof(checksum));
   return out;
 }
 
 Result<Snapshot> decode_snapshot(std::string_view bytes) {
-  constexpr std::size_t kHeaderSize = sizeof(kSnapshotMagic) + 4 + 8 + 8;
   if (bytes.size() < kHeaderSize) {
     return make_error(Errc::kIoError,
                       "corrupt snapshot: file shorter than the header (" +
@@ -657,18 +660,28 @@ Status write_snapshot_file(const std::string& path,
 }
 
 Result<Snapshot> read_snapshot_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  // One read into a buffer sized from the open file: a snapshot can be
+  // tens of MB, and this is the only copy of it.
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  std::error_code ec;
+  if (!in || !std::filesystem::is_regular_file(path, ec)) {
     return make_error(Errc::kIoError,
                       "cannot open checkpoint file " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  const std::streamoff size = in.tellg();
+  if (size < 0 || !in.seekg(0)) {
+    return make_error(Errc::kIoError,
+                      "cannot read checkpoint file " + path);
+  }
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.read(bytes.data(), size);
   if (in.bad()) {
     return make_error(Errc::kIoError,
                       "cannot read checkpoint file " + path);
   }
-  auto decoded = decode_snapshot(buffer.str());
+  // A file that shrank underneath reads short; the decoder diagnoses it.
+  bytes.resize(static_cast<std::size_t>(in.gcount()));
+  auto decoded = decode_snapshot(bytes);
   if (!decoded.ok()) {
     return make_error(decoded.status().code(),
                       path + ": " + decoded.status().message());

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -55,8 +56,10 @@ inline constexpr std::uint32_t kMinFormatVersion = 1;
 /// One compute unit: identity, (re)creation inputs, and captured state.
 struct UnitRecord {
   std::string uid;
-  /// payload is dropped (sim backend only).
-  pilot::UnitDescription description;
+  /// Never null. Capture aliases the live unit's immutable description
+  /// (and so keeps the unit alive) instead of copying it; decode owns
+  /// a fresh one. payload is dropped on encode (sim backend only).
+  std::shared_ptr<const pilot::UnitDescription> description;
   pilot::ComputeUnit::SavedState state;
   bool settled = false;   ///< UnitManager entry flag.
   bool notified = false;  ///< Settled observers already fired.

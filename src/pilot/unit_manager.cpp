@@ -545,14 +545,18 @@ void UnitManager::restore_unit(const ComputeUnitPtr& unit, bool settled,
       });
 }
 
-bool UnitManager::unit_entry(const ComputeUnit* unit, bool& settled,
-                             bool& notified) const {
+std::size_t UnitManager::unit_entries(
+    const std::vector<ComputeUnitPtr>& units,
+    std::vector<EntryFlags>& flags) const {
+  flags.clear();
+  flags.reserve(units.size());
   MutexLock lock(mutex_);
-  const auto it = entries_.find(unit);
-  if (it == entries_.end()) return false;
-  settled = it->second.settled;
-  notified = it->second.notified;
-  return true;
+  for (const auto& unit : units) {
+    const auto it = entries_.find(unit.get());
+    if (it == entries_.end()) return flags.size();
+    flags.push_back({it->second.settled, it->second.notified});
+  }
+  return flags.size();
 }
 
 std::vector<std::pair<ComputeUnitPtr, std::uint64_t>>

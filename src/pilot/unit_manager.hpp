@@ -188,9 +188,16 @@ class UnitManager {
   /// wiring) without counting it as a new submission.
   void restore_unit(const ComputeUnitPtr& unit, bool settled,
                     bool notified) ENTK_EXCLUDES(mutex_);
-  /// Entry flags for one managed unit; false when not managed here.
-  bool unit_entry(const ComputeUnit* unit, bool& settled,
-                  bool& notified) const ENTK_EXCLUDES(mutex_);
+  struct EntryFlags {
+    bool settled = false;
+    bool notified = false;  ///< Settled observers already fired.
+  };
+  /// Entry flags of `units`, in order, read under one lock into
+  /// `flags`. Returns units.size() when every unit is managed here,
+  /// else the index of the first one that is not.
+  std::size_t unit_entries(const std::vector<ComputeUnitPtr>& units,
+                           std::vector<EntryFlags>& flags) const
+      ENTK_EXCLUDES(mutex_);
   /// Pending retry-backoff timers with their backend timer tokens
   /// (sim EventIds), sorted by unit uid for determinism.
   std::vector<std::pair<ComputeUnitPtr, std::uint64_t>> pending_retries()

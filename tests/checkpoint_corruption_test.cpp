@@ -3,14 +3,16 @@
 // crash, never a silently wrong resume. Exercised forms of damage:
 // truncation at every prefix length, a flipped bit anywhere in the
 // payload (checksum), wrong magic, a future format version, a payload
-// size that disagrees with the file, and length fields pointing past
-// the end of the payload (the classic decoder over-read). The CI
-// checkpoint-restart lane also runs this suite under asan-ubsan.
+// size that disagrees with the file, a file truncated on disk, and
+// length fields pointing past the end of the payload (the classic
+// decoder over-read). The CI checkpoint-restart lane also runs this
+// suite under asan-ubsan.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
 
 #include "ckpt/snapshot.hpp"
@@ -35,15 +37,17 @@ Snapshot sample_snapshot() {
 
   UnitRecord unit;
   unit.uid = "unit.000001";
-  unit.description.name = "task_1";
-  unit.description.executable = "misc.sleep";
-  unit.description.arguments = {"--duration", "30"};
-  unit.description.environment = {{"ENTK_STAGE", "1"}};
-  unit.description.cores = 2;
-  unit.description.simulated_duration = 30.0;
-  unit.description.input_staging.push_back(
+  auto description = std::make_shared<pilot::UnitDescription>();
+  description->name = "task_1";
+  description->executable = "misc.sleep";
+  description->arguments = {"--duration", "30"};
+  description->environment = {{"ENTK_STAGE", "1"}};
+  description->cores = 2;
+  description->simulated_duration = 30.0;
+  description->input_staging.push_back(
       {"in.dat", "sandbox/in.dat",
        pilot::StagingDirective::Action::kLink, 4.0});
+  unit.description = std::move(description);
   unit.settled = false;
   unit.notified = false;
   snap.units.push_back(unit);
@@ -74,6 +78,14 @@ TEST(CheckpointCorruption, IntactFileDecodes) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
   EXPECT_EQ(decoded.value().machine, "test.scale");
   EXPECT_EQ(decoded.value().units.size(), 1u);
+}
+
+TEST(CheckpointCorruption, EncodingIsPinnedByteForByte) {
+  // The on-disk format is a contract: any change to the encoder that
+  // moves a single byte of this image must bump kFormatVersion.
+  const std::string bytes = encode_snapshot(sample_snapshot());
+  EXPECT_EQ(bytes.size(), 888u);
+  EXPECT_EQ(fnv1a(bytes), 0x2c6f926e363ca71dULL);
 }
 
 TEST(CheckpointCorruption, EveryTruncationIsRejected) {
@@ -166,6 +178,36 @@ TEST(CheckpointCorruption, ReadSnapshotFileReportsPathInDiagnostics) {
       << garbage.status().to_string();
   EXPECT_NE(garbage.status().message().find("magic"), std::string::npos)
       << garbage.status().to_string();
+}
+
+TEST(CheckpointCorruption, FileTruncatedOnDiskIsRejected) {
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "ckpt_corrupt")
+          .string();
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/truncated-on-disk.entkckpt";
+  ASSERT_TRUE(write_snapshot_file(path, sample_snapshot()).is_ok());
+  ASSERT_TRUE(read_snapshot_file(path).ok());
+  const std::uintmax_t full = std::filesystem::file_size(path);
+
+  // Cut inside the payload: the header survives and over-promises.
+  std::filesystem::resize_file(path, full / 2);
+  auto short_payload = read_snapshot_file(path);
+  ASSERT_FALSE(short_payload.ok());
+  EXPECT_EQ(short_payload.status().code(), Errc::kIoError);
+  EXPECT_NE(short_payload.status().message().find(path), std::string::npos)
+      << short_payload.status().to_string();
+  EXPECT_NE(short_payload.status().message().find("header promises"),
+            std::string::npos)
+      << short_payload.status().to_string();
+
+  // Cut inside the header.
+  std::filesystem::resize_file(path, 10);
+  auto short_header = read_snapshot_file(path);
+  ASSERT_FALSE(short_header.ok());
+  EXPECT_NE(short_header.status().message().find("shorter than the header"),
+            std::string::npos)
+      << short_header.status().to_string();
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -202,6 +204,47 @@ TEST(CheckpointRestart, SnapshotSurvivesEncodeDecodeRoundTrip) {
       << "decode must be the exact inverse of encode";
   EXPECT_EQ(decoded.value().units.size(), snapshot.units.size());
   EXPECT_EQ(decoded.value().engine_now, snapshot.engine_now);
+}
+
+TEST(CheckpointRestart, FirstSnapshotFileBytesArePinned) {
+  // A small seeded bag in a named session, uid counters reset: the
+  // snapshot file the coordinator publishes is then a pure function of
+  // the run, so its bytes are pinned. Capture and encoding may change
+  // how they are produced, never what they produce. (The session is
+  // named because an unnamed session's snapshot lists every uid family
+  // the process has interned, which depends on the tests run before.)
+  const std::string dir = fresh_dir("ckpt_golden");
+  reset_uid_counters_for_testing();
+  auto registry = kernels::KernelRegistry::with_builtin_kernels();
+  pilot::SimBackend backend(scale_test::scale_machine());
+  core::Runtime runtime(backend, registry);
+  ResourceOptions resources;
+  resources.cores = 2048;
+  resources.runtime = 4.0e6;
+  resources.scheduler_policy = "backfill";
+  auto session = runtime.create_session({"ckpt_golden", resources});
+  ASSERT_TRUE(session.ok()) << session.status().to_string();
+  ASSERT_TRUE(session.value()->allocate().is_ok());
+  ckpt::Coordinator::Options options;
+  options.directory = dir;
+  options.policy.every_settled = 50;
+  options.crash_after_snapshots = 1;
+  ckpt::Coordinator coordinator(backend, *session.value(),
+                                std::move(options));
+  BagOfTasks pattern = scale_test::scale_workload(200);
+  coordinator.set_identity(pattern.name(), "");
+  pattern.set_graph_run_observer(&coordinator);
+  auto report = session.value()->run(pattern);
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  ASSERT_TRUE(
+      ckpt::Coordinator::is_checkpoint_stop(report.value().outcome));
+
+  std::ifstream in(dir + "/ckpt-000001.entkckpt", std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes.size(), 77505u);
+  EXPECT_EQ(ckpt::fnv1a(bytes), 0x1056c592023931c9ULL);
 }
 
 TEST(CheckpointRestart, StopRequestWritesFinalSnapshotAndStops) {

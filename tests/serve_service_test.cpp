@@ -291,19 +291,27 @@ TEST(ServeService, WeightedFairShareTracksWeightsUnderContention) {
   config.drr_quantum = 4;
   // A tight global budget keeps both tenants contending all run.
   config.max_inflight_total = 16;
-  Driven driven(std::move(config));
+  auto created = Service::create(std::move(config));
+  ASSERT_TRUE(created.ok()) << created.status().to_string();
+  Service& service = *created.value();
   TenantConfig light;
   light.weight = 1.0;
   TenantConfig heavy;
   heavy.weight = 3.0;
-  ASSERT_TRUE(driven.service->configure_tenant("light", light).is_ok());
-  ASSERT_TRUE(driven.service->configure_tenant("heavy", heavy).is_ok());
+  ASSERT_TRUE(service.configure_tenant("light", light).is_ok());
+  ASSERT_TRUE(service.configure_tenant("heavy", heavy).is_ok());
+  // Every submission is queued before the drive thread starts, so
+  // which tenant is admitted and dispatched when no longer depends on
+  // how the submitting thread races the drive thread.
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(driven.service->submit("light", bag_spec(64)).ok());
-    ASSERT_TRUE(driven.service->submit("heavy", bag_spec(64)).ok());
+    ASSERT_TRUE(service.submit("light", bag_spec(64)).ok());
+    ASSERT_TRUE(service.submit("heavy", bag_spec(64)).ok());
   }
-  driven.service->drain();
-  const ServiceStats stats = driven.service->stats();
+  std::thread driver([&service] { service.run(); });
+  service.drain();
+  service.shutdown();
+  driver.join();
+  const ServiceStats stats = service.stats();
   ASSERT_EQ(stats.tenants.size(), 2u);
   double contended_heavy = 0.0;
   double contended_light = 0.0;
