@@ -140,17 +140,9 @@ Result<Snapshot> Coordinator::capture() {
 
   sim::Engine& engine = backend_.engine();
   snap.engine_now = engine.now();
-  snap.uid_counters = snapshot_uid_counters();
-  if (!snap.session.empty()) {
-    // A named session's snapshot carries only its own uid families
-    // ("<name>.unit", "<name>.pilot", ...): restoring it while other
-    // sessions keep running must not capture — let alone later stomp —
-    // their counters.
-    const std::string dotted = snap.session + ".";
-    std::erase_if(snap.uid_counters, [&dotted](const auto& entry) {
-      return entry.first.compare(0, dotted.size(), dotted) != 0;
-    });
-  }
+  // Only the session's own uid families: restoring the snapshot while
+  // other sessions keep running must not stomp their counters.
+  snap.uid_counters = snapshot_uid_counters(snap.session);
 
   pilot::UnitManager* manager = session_.unit_manager();
   std::vector<pilot::ComputeUnitPtr> units = plugin_->all_units();
@@ -304,7 +296,7 @@ Status Coordinator::restore_runtime(const Snapshot& snap) {
                       "the snapshot taken past a pilot walltime?)");
   }
   engine.restore_now(snap.engine_now);
-  restore_uid_counters(snap.uid_counters);
+  restore_uid_counters(snap.session, snap.uid_counters);
 
   // Recreate every unit and re-register it with the unit manager.
   pilot::UnitManager* manager = session_.unit_manager();
@@ -404,9 +396,9 @@ Status Coordinator::restore_runtime(const Snapshot& snap) {
   return Status::ok();
 }
 
-Result<bool> Coordinator::prepare_run(core::TaskGraph& graph,
-                                      core::GraphExecutor& runner,
-                                      core::PatternExecutor& executor) {
+Status Coordinator::prepare_run(core::TaskGraph& graph,
+                                core::GraphExecutor& runner,
+                                core::PatternExecutor& executor) {
   (void)graph;
   auto* plugin = dynamic_cast<core::ExecutionPlugin*>(&executor);
   if (plugin == nullptr) {
@@ -416,7 +408,7 @@ Result<bool> Coordinator::prepare_run(core::TaskGraph& graph,
   }
   runner_ = &runner;
   plugin_ = plugin;
-  if (!pending_resume_.has_value()) return false;
+  if (!pending_resume_.has_value()) return Status::ok();
   PendingResume resume = std::move(*pending_resume_);
   pending_resume_.reset();
   // Regrow the adaptive generations first, then inject the runtime
@@ -430,7 +422,7 @@ Result<bool> Coordinator::prepare_run(core::TaskGraph& graph,
                                                           : it->second;
                        });
   plugin->restore_state(resume.pattern_overhead, std::move(resume.units));
-  return true;
+  return Status::ok();
 }
 
 void Coordinator::on_graph_run_end(core::GraphExecutor& runner,

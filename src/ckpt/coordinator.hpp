@@ -96,7 +96,7 @@ class Coordinator final : public core::GraphRunObserver {
   /// Rebuilds the runtime state of `snapshot` into the (freshly
   /// allocated) session: verifies identity, restores the engine clock,
   /// uid counters, units, unit manager, agents and fault model, and
-  /// reposts the captured pending events. The next pattern.execute()
+  /// reposts the captured pending events. The next run of a pattern
   /// with this coordinator attached as graph-run observer then resumes
   /// instead of starting over. The caller must have reset the uid
   /// counters BEFORE allocate() so the pilot uid replay matches the
@@ -106,9 +106,8 @@ class Coordinator final : public core::GraphRunObserver {
   Status restore_runtime(const Snapshot& snapshot);
 
   // --- GraphRunObserver ---
-  Result<bool> prepare_run(core::TaskGraph& graph,
-                           core::GraphExecutor& runner,
-                           core::PatternExecutor& executor) override;
+  Status prepare_run(core::TaskGraph& graph, core::GraphExecutor& runner,
+                     core::PatternExecutor& executor) override;
   void on_graph_run_end(core::GraphExecutor& runner,
                         const Status& outcome) override;
 

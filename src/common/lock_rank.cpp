@@ -39,8 +39,6 @@ const char* lock_rank_name(LockRank rank) {
       return "kWorkStealingPool";
     case LockRank::kWorkStealingQueue:
       return "kWorkStealingQueue";
-    case LockRank::kThreadPool:
-      return "kThreadPool";
     case LockRank::kUidRegistry:
       return "kUidRegistry";
     case LockRank::kMetricsRegistry:

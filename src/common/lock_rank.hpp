@@ -45,7 +45,6 @@ enum class LockRank : int {
   kComputeUnit = 70,      ///< pilot::ComputeUnit::mutex_
   kWorkStealingPool = 76,   ///< WorkStealingPool::state_mutex_ (park/join)
   kWorkStealingQueue = 78,  ///< WorkStealingPool per-worker deques + inject
-  kThreadPool = 80,       ///< ThreadPool::mutex_
   kUidRegistry = 85,      ///< uid.cpp source registry
   kMetricsRegistry = 90,  ///< obs::Metrics::names_mutex_
   kSessionRegistry = 91,  ///< obs trace session-name interning

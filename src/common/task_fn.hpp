@@ -4,7 +4,7 @@
 // (implementation-defined, typically two-pointer) inline buffer, and
 // requires copyability — so every task submitted to a pool paid an
 // allocation plus a copyable-wrapper tax. TaskFn is the task-slot
-// replacement used by ThreadPool and WorkStealingPool: 48 bytes of
+// replacement used by WorkStealingPool: 48 bytes of
 // inline storage (a pool task captures a couple of shared_ptrs and a
 // this pointer; see bench/micro_components.cpp for the measured
 // allocation-count drop), move-only so tasks can own unique_ptrs, and

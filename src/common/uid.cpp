@@ -46,6 +46,22 @@ detail::PrefixCounter* find_counter(const std::string& prefix) {
   return slot.get();
 }
 
+/// Whether the family `prefix` belongs to `session`: "<session>.<kind>"
+/// for a named session, a dot-free "<kind>" for the unnamed one (a
+/// named session's families always contain a dot).
+bool owned_by(const std::string& prefix, const std::string& session) {
+  std::size_t kind = 0;
+  if (!session.empty()) {
+    if (prefix.size() <= session.size() + 1 ||
+        prefix.compare(0, session.size(), session) != 0 ||
+        prefix[session.size()] != '.') {
+      return false;
+    }
+    kind = session.size() + 1;
+  }
+  return prefix.find('.', kind) == std::string::npos;
+}
+
 std::string format_uid(const std::string& prefix, std::uint64_t value) {
   char suffix[32];
   std::snprintf(suffix, sizeof(suffix), ".%06llu",
@@ -69,6 +85,11 @@ std::string UidSource::next() const {
       prefix_, counter_->next.fetch_add(1, std::memory_order_relaxed));
 }
 
+std::string session_uid_family(const std::string& session,
+                               const std::string& kind) {
+  return session.empty() ? kind : session + "." + kind;
+}
+
 void reset_uid_counters_for_testing() {
   SharedMutexLock lock(g_mutex);
   for (auto& [prefix, counter] : counters()) {
@@ -87,12 +108,13 @@ void reset_uid_counters_with_prefix(const std::string& family) {
   }
 }
 
-std::vector<std::pair<std::string, std::uint64_t>> snapshot_uid_counters() {
+std::vector<std::pair<std::string, std::uint64_t>> snapshot_uid_counters(
+    const std::string& session) {
   std::vector<std::pair<std::string, std::uint64_t>> out;
   {
     SharedReaderLock lock(g_mutex);
-    out.reserve(counters().size());
     for (const auto& [prefix, counter] : counters()) {
+      if (!owned_by(prefix, session)) continue;
       out.emplace_back(prefix, counter->next.load(std::memory_order_relaxed));
     }
   }
@@ -101,9 +123,11 @@ std::vector<std::pair<std::string, std::uint64_t>> snapshot_uid_counters() {
 }
 
 void restore_uid_counters(
+    const std::string& session,
     const std::vector<std::pair<std::string, std::uint64_t>>& snapshot) {
   SharedMutexLock lock(g_mutex);
   for (const auto& [prefix, value] : snapshot) {
+    if (!owned_by(prefix, session)) continue;
     auto& slot = counters()[prefix];
     if (slot == nullptr) slot = std::make_unique<detail::PrefixCounter>();
     slot->next.store(value, std::memory_order_relaxed);

@@ -45,6 +45,14 @@ class UidSource {
   detail::PrefixCounter* counter_;
 };
 
+/// The uid family of kind `kind` ("unit", "pilot") owned by session
+/// `session`: "<session>.<kind>", or the legacy process-wide `kind`
+/// for the unnamed session. This module is the one place that knows
+/// the convention; the per-session snapshot and restore below rely on
+/// it.
+std::string session_uid_family(const std::string& session,
+                               const std::string& kind);
+
 /// Resets all counters; intended for test isolation only. Interned
 /// UidSource handles remain valid (counters restart at zero).
 void reset_uid_counters_for_testing();
@@ -55,14 +63,26 @@ void reset_uid_counters_for_testing();
 /// counters of sessions still running in this process.
 void reset_uid_counters_with_prefix(const std::string& family);
 
-/// Snapshot of every (prefix, next-counter) pair, sorted by prefix so
-/// the result is deterministic. Used by checkpoint/restart.
-std::vector<std::pair<std::string, std::uint64_t>> snapshot_uid_counters();
+/// Snapshot of the (prefix, next-counter) pairs of the families session
+/// `session` owns — "<session>.<kind>" for a named session, the
+/// dot-free legacy families for the unnamed one — sorted by prefix, so
+/// the result depends on the session's own history only. Exception:
+/// dot-free families that every session shares (the saga adaptors'
+/// "job") count as the unnamed session's, so its snapshot carries them
+/// with their process-wide values. Used by checkpoint/restart.
+std::vector<std::pair<std::string, std::uint64_t>> snapshot_uid_counters(
+    const std::string& session);
 
-/// Restores counter values from a snapshot (creating missing prefixes).
+/// Restores counter values from a snapshot of `session` (creating
+/// missing prefixes). Only that session's families are written: other
+/// sessions' "<session>.<kind>" counters are never touched, whatever
+/// the snapshot lists. The shared dot-free families (see above) are
+/// the exception: restoring an unnamed snapshot rewinds "job" for
+/// every session.
 /// Prefixes absent from the snapshot are left untouched; callers that
-/// need a clean slate should reset_uid_counters_for_testing() first.
+/// need a clean slate reset the counters first.
 void restore_uid_counters(
+    const std::string& session,
     const std::vector<std::pair<std::string, std::uint64_t>>& snapshot);
 
 }  // namespace entk

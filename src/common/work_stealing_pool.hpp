@@ -19,10 +19,9 @@
 // pool's park/state lock (LockRank::kWorkStealingPool). Steals use
 // try_lock and move on, so a contended victim never convoys thieves.
 //
-// Shutdown drains: every task accepted before shutdown() executes
-// (ThreadPool parity) — workers drain until empty, and whatever a
-// racing submission strands after the workers exit is executed inline
-// by the joining thread.
+// Shutdown drains: every task accepted before shutdown() executes —
+// workers drain until empty, and whatever a racing submission strands
+// after the workers exit is executed inline by the joining thread.
 //
 // The pool reports steal/park/execute counters two ways: pool-local
 // Stats (stats()) and an optional PoolMetricFn sink, which the obs

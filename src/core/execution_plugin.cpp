@@ -92,27 +92,37 @@ Result<std::vector<pilot::ComputeUnitPtr>> ExecutionPlugin::submit(
   return units;
 }
 
-Status ExecutionPlugin::drive_until(const std::function<bool()>& done) {
-  return backend_.drive_until(done);
-}
-
-bool ExecutionPlugin::subscribe_settled(SettledFn fn) {
-  const std::size_t token =
-      unit_manager_.add_settled_observer(std::move(fn));
+void ExecutionPlugin::subscribe_settled(SettledFn fn) {
+  // A worker thread can still call the observer after its removal: it
+  // notifies from a snapshot of the observer list taken before. The
+  // gate turns such late calls into no-ops and makes unsubscribing
+  // wait for a call in progress, so the subscriber can be destroyed
+  // right after.
+  auto gate = std::make_shared<pilot::CallbackGate>();
+  const std::size_t token = unit_manager_.add_settled_observer(
+      [gate, fn = std::move(fn)](const pilot::ComputeUnitPtr& unit,
+                                 pilot::UnitState state) {
+        if (!gate->enter()) return;
+        fn(unit, state);
+        gate->exit();
+      });
   MutexLock lock(mutex_);
   ENTK_CHECK(!settled_token_.has_value(),
              "execution plugin already has a settled subscription");
   settled_token_ = token;
-  return true;
+  settled_gate_ = std::move(gate);
 }
 
 void ExecutionPlugin::unsubscribe_settled() {
   std::optional<std::size_t> token;
+  std::shared_ptr<pilot::CallbackGate> gate;
   {
     MutexLock lock(mutex_);
     token.swap(settled_token_);
+    gate.swap(settled_gate_);
   }
   if (token.has_value()) unit_manager_.remove_settled_observer(*token);
+  if (gate != nullptr) gate->close();
 }
 
 Duration ExecutionPlugin::pattern_overhead() const {

@@ -7,6 +7,7 @@
 // units to the pilot runtime.
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "common/mutex.hpp"
@@ -36,10 +37,9 @@ class ExecutionPlugin final : public PatternExecutor {
 
   Result<std::vector<pilot::ComputeUnitPtr>> submit(
       const std::vector<TaskSpec>& specs) override;
-  Status drive_until(const std::function<bool()>& done) override;
   /// Forwards unit-settled events from the unit manager to the graph
   /// executor (at most one subscription at a time).
-  bool subscribe_settled(SettledFn fn) override;
+  void subscribe_settled(SettledFn fn) override;
   void unsubscribe_settled() override;
 
   /// Translates a single spec without submitting (exposed for tests
@@ -70,6 +70,8 @@ class ExecutionPlugin final : public PatternExecutor {
   Duration pattern_overhead_ ENTK_GUARDED_BY(mutex_) = 0.0;
   std::vector<pilot::ComputeUnitPtr> all_units_ ENTK_GUARDED_BY(mutex_);
   std::optional<std::size_t> settled_token_ ENTK_GUARDED_BY(mutex_);
+  /// Closed by unsubscribe_settled(); see subscribe_settled().
+  std::shared_ptr<pilot::CallbackGate> settled_gate_ ENTK_GUARDED_BY(mutex_);
 };
 
 }  // namespace entk::core

@@ -1,8 +1,6 @@
 #include "core/graph_executor.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <utility>
 
 #include "common/log.hpp"
@@ -39,56 +37,12 @@ bool is_settled_status(NodeStatus status) {
 
 }  // namespace
 
-void watch_unit(const pilot::ComputeUnitPtr& unit,
-                std::function<void(pilot::ComputeUnit&,
-                                   pilot::UnitState)> handler) {
-  auto fired = std::make_shared<std::atomic<bool>>(false);
-  auto shared_handler = std::make_shared<
-      std::function<void(pilot::ComputeUnit&, pilot::UnitState)>>(
-      std::move(handler));
-  unit->on_state_change(
-      [fired, shared_handler](pilot::ComputeUnit& changed,
-                              pilot::UnitState) {
-        if (!unit_settled(changed)) return;
-        if (fired->exchange(true)) return;
-        (*shared_handler)(changed, changed.state());
-      });
-  // The unit may already be final (fast local execution).
-  if (unit_settled(*unit) && !fired->exchange(true)) {
-    (*shared_handler)(*unit, unit->state());
-  }
-}
-
 GraphExecutor::GraphExecutor(TaskGraph& graph, PatternExecutor& executor)
     : graph_(graph), executor_(executor) {}
 
-Status GraphExecutor::run() {
-  ENTK_RETURN_IF_ERROR(start());
-  return drive_run();
-}
-
-Status GraphExecutor::resume() {
-  ENTK_RETURN_IF_ERROR(start_resumed());
-  return drive_run();
-}
-
 Status GraphExecutor::start() {
   ENTK_RETURN_IF_ERROR(graph_.validate());
-  {
-    MutexLock lock(mutex_);
-    sync_graph_locked();
-  }
-  use_events_ = executor_.subscribe_settled(
-      [this](const pilot::ComputeUnitPtr& unit, pilot::UnitState) {
-        on_unit_settled(unit);
-      });
-  pump();
-  return Status::ok();
-}
-
-Status GraphExecutor::start_resumed() {
-  ENTK_RETURN_IF_ERROR(graph_.validate());
-  use_events_ = executor_.subscribe_settled(
+  executor_.subscribe_settled(
       [this](const pilot::ComputeUnitPtr& unit, pilot::UnitState) {
         on_unit_settled(unit);
       });
@@ -106,23 +60,7 @@ Status GraphExecutor::outcome() const {
   return outcome_;
 }
 
-void GraphExecutor::unsubscribe() {
-  if (use_events_) executor_.unsubscribe_settled();
-  use_events_ = false;
-}
-
-Status GraphExecutor::drive_run() {
-  // The one wait of the whole pattern layer: a finished flag flipped
-  // by the event pump, not a progress predicate over units.
-  const Status driven = executor_.drive_until([this] {
-    MutexLock lock(mutex_);
-    return finished_;
-  });
-  unsubscribe();
-  ENTK_RETURN_IF_ERROR(driven);
-  MutexLock lock(mutex_);
-  return outcome_;
-}
+void GraphExecutor::unsubscribe() { executor_.unsubscribe_settled(); }
 
 NodeStatus GraphExecutor::node_status(NodeId id) const {
   MutexLock lock(mutex_);
@@ -142,9 +80,17 @@ void GraphExecutor::on_unit_settled(const pilot::ComputeUnitPtr& unit) {
     if (it == node_of_.end()) return;  // not one of this graph's units
     events_.push_back({it->second, unit->state()});
     deferred = deferred_;
+    // Immediate: claim the pump with the event, or leave the event to
+    // the active pump. Either way this critical section is the last
+    // touch of a settlement that loses the race: once the pump finishes
+    // the run, its owner may destroy the executor.
+    if (!deferred) {
+      if (pumping_ || finished_) return;
+      pumping_ = true;
+    }
   }
   if (!deferred) {
-    pump();
+    pump_claimed();
     return;
   }
   // advance_local() drains it; tell the driver this graph changed.
@@ -162,42 +108,10 @@ void GraphExecutor::set_event_hook(std::function<void()> hook) {
 
 bool GraphExecutor::advance_local() {
   if (!pending_frontier_.empty()) return true;  // unflushed batch
-  {
-    MutexLock lock(mutex_);
-    if (pumping_ || finished_) return false;
-    pumping_ = true;
-  }
-  for (;;) {
-    std::vector<NodeId> frontier;
-    {
-      MutexLock lock(mutex_);
-      if (finished_) {
-        pumping_ = false;
-        return false;
-      }
-      sync_graph_locked();
-      apply_events_locked();
-      decide_stage_groups_locked();
-      propagate_skips_locked();
-      frontier = frontier_locked();
-      if (frontier.empty() && inflight_ > 0) {
-        pumping_ = false;
-        return false;
-      }
-    }
-    if (!frontier.empty()) {
-      pending_specs_ = materialize_specs(frontier);
-      pending_frontier_ = std::move(frontier);
-      MutexLock lock(mutex_);
-      pumping_ = false;
-      return true;
-    }
-    if (!handle_quiesce()) {
-      MutexLock lock(mutex_);
-      pumping_ = false;
-      return false;
-    }
-  }
+  if (!claim_pump() || !advance_claimed()) return false;
+  MutexLock lock(mutex_);
+  pumping_ = false;
+  return true;
 }
 
 bool GraphExecutor::flush_submit() {
@@ -264,25 +178,38 @@ void GraphExecutor::pump() {
     MutexLock lock(mutex_);
     deferred = deferred_;
   }
-  // In deferred mode every pump source (start, cancel, resume) only
+  // In deferred mode every pump source (start, cancel) only
   // materializes the pending batch; the driver decides when — and how
   // much of — it submits (flush_submit / flush_submit_bounded).
   if (deferred) {
     (void)advance_local();
     return;
   }
-  {
-    MutexLock lock(mutex_);
-    if (pumping_ || finished_) return;
-    pumping_ = true;
-  }
+  if (claim_pump()) pump_claimed();
+}
+
+void GraphExecutor::pump_claimed() {
+  // Each batch is flushed under the same claim that built it, so
+  // settlements delivered meanwhile (submission callbacks, local-backend
+  // worker threads) only queue and are drained by the next step.
+  while (advance_claimed()) flush_submit();
+}
+
+bool GraphExecutor::claim_pump() {
+  MutexLock lock(mutex_);
+  if (pumping_ || finished_) return false;
+  pumping_ = true;
+  return true;
+}
+
+bool GraphExecutor::advance_claimed() {
   for (;;) {
     std::vector<NodeId> frontier;
     {
       MutexLock lock(mutex_);
       if (finished_) {
         pumping_ = false;
-        return;
+        return false;
       }
       sync_graph_locked();
       apply_events_locked();
@@ -294,19 +221,18 @@ void GraphExecutor::pump() {
         // empty here (drained above) and enqueuing takes this lock, so
         // no event can slip past the flag.
         pumping_ = false;
-        return;
+        return false;
       }
     }
     if (!frontier.empty()) {
-      submit_frontier(frontier);
-      continue;
+      pending_specs_ = materialize_specs(frontier);
+      pending_frontier_ = std::move(frontier);
+      return true;
     }
-    // Quiesced: nothing ready, nothing in flight.
-    if (!handle_quiesce()) {
-      MutexLock lock(mutex_);
-      pumping_ = false;
-      return;
-    }
+    // Quiesced: nothing ready, nothing in flight. A false return
+    // finished the run, and finish_locked released the claim in the
+    // same critical section: do not touch the executor again.
+    if (!handle_quiesce()) return false;
   }
 }
 
@@ -588,11 +514,6 @@ std::vector<NodeId> GraphExecutor::frontier_locked() {
   return ready;
 }
 
-void GraphExecutor::submit_frontier(const std::vector<NodeId>& frontier) {
-  std::vector<TaskSpec> specs = materialize_specs(frontier);
-  submit_specs(frontier, specs);
-}
-
 std::vector<TaskSpec> GraphExecutor::materialize_specs(
     const std::vector<NodeId>& frontier) {
   // Specs are produced here — at submission time, outside any lock —
@@ -623,7 +544,7 @@ std::vector<TaskSpec> GraphExecutor::materialize_specs(
 
 void GraphExecutor::submit_specs(const std::vector<NodeId>& frontier,
                                  std::vector<TaskSpec>& specs) {
-  ENTK_TRACE_SPAN("graph.submit_frontier", "graph");
+  ENTK_TRACE_SPAN("graph.flush_submit", "graph");
   ENTK_TRACE_COUNTER("graph.frontier_batch", "graph", frontier.size());
   // Aggregate metrics by design. entk-lint: allow(global-run-state)
   auto& metrics = obs::Metrics::instance();
@@ -676,12 +597,7 @@ void GraphExecutor::adopt_unit(NodeId id,
   }
   const UnitSink& sink = graph_.node(id).sink;
   if (sink) sink(unit);
-  if (!use_events_) {
-    watch_unit(unit, [this, unit](pilot::ComputeUnit&,
-                                  pilot::UnitState) {
-      on_unit_settled(unit);
-    });
-  } else if (unit_settled(*unit)) {
+  if (unit_settled(*unit)) {
     // The unit settled synchronously during submission (an oversized
     // unit fails before routing): the settled observer fired before
     // this node was registered, so poll once. Duplicate events are
@@ -955,6 +871,9 @@ void GraphExecutor::finish_locked(Status outcome) {
   if (finished_) return;
   finished_ = true;
   outcome_ = std::move(outcome);
+  // Only the claim holder finishes a run; the claim ends with it, in
+  // the critical section that makes finished() true.
+  pumping_ = false;
 }
 
 }  // namespace entk::core

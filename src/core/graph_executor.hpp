@@ -3,18 +3,19 @@
 // The executor subscribes to the runtime's unit-settled events
 // (PatternExecutor::subscribe_settled, backed by the unit manager's
 // settled observers) instead of polling predicates. Each settlement
-// pumps the graph: settled nodes update their groups, stage verdicts
-// are decided, failures propagate as skips, and every newly unblocked
-// frontier is submitted in ONE batched PatternExecutor::submit call —
-// independent pipelines' stage N+1 tasks launch the instant their own
-// stage N settles, with no global barrier.
+// runs one advance step: settled nodes update their groups, stage
+// verdicts are decided, failures propagate as skips, and the newly
+// unblocked frontier is materialized as ONE batch for a single
+// PatternExecutor::submit call — independent pipelines' stage N+1
+// tasks launch the instant their own stage N settles, with no global
+// barrier. In immediate mode the executor flushes that batch itself;
+// in deferred mode a driver decides when (flush_submit).
 //
 // When the graph quiesces (nothing ready, nothing in flight) the
 // executor evaluates chain-set verdicts and runs the graph's expanders
 // (innermost-first) to grow the next generation; when the expanders
-// are exhausted too, the run finishes and the single outer
-// drive_until — waiting on a finished flag, the one wait in the whole
-// pattern layer — returns.
+// are exhausted too, the run finishes and the caller's single wait on
+// finished() ends.
 //
 // Failure semantics (owned here, not by patterns):
 //  - A stage group's verdict (fail-fast / continue / quorum over its
@@ -50,41 +51,19 @@ enum class NodeStatus {
   kSkipped,    ///< Abandoned: an upstream failure or a graph abort.
 };
 
-/// Registers `handler` to run exactly once when `unit` settles into a
-/// *final* state. Handles the already-final and retry-pending cases
-/// (a kFailed notification that the unit manager immediately retried
-/// is not final). The executor's fallback event source for
-/// PatternExecutor implementations without settled subscriptions.
-void watch_unit(const pilot::ComputeUnitPtr& unit,
-                std::function<void(pilot::ComputeUnit&,
-                                   pilot::UnitState)> handler);
-
 class GraphExecutor {
  public:
   GraphExecutor(TaskGraph& graph, PatternExecutor& executor);
 
-  /// Runs the graph to completion and returns the pattern verdict:
-  /// OK, the first failure filtered through the graph's failure
-  /// scopes, or the backend's wait error (deadlock, timeout).
-  Status run();
-
-  /// Continues a run rebuilt from a checkpoint: same event loop as
-  /// run(), but the graph and executor state were injected by
-  /// restore_state() instead of starting from scratch.
-  Status resume();
-
-  // --- non-blocking run control (Runtime::run_concurrent) ---
-  // run() is start() + drive_until(finished) + unsubscribe() +
-  // outcome();
-  // splitting it lets one backend drive N sessions' executors under a
-  // single wait instead of serializing whole runs.
-  /// Validates and syncs the graph, subscribes to settled events and
-  /// pumps the initial frontier. Events now advance the graph whenever
+  // --- non-blocking run control ---
+  // The caller drives the backend until finished(), then calls
+  // unsubscribe() and reads outcome(); one backend wait can drive N
+  // sessions' executors at once.
+  /// Validates the graph, subscribes to settled events and pumps the
+  /// initial frontier (for a checkpoint-restored run, over the state
+  /// restore_state() injected). Events now advance the graph whenever
   /// anything drives the backend.
   Status start();
-  /// start() for a checkpoint-restored run: no initial sync (the
-  /// restore injected runs_), same subscription and initial pump.
-  Status start_resumed();
   /// Whether the run has finished (outcome() is then meaningful).
   bool finished() const ENTK_EXCLUDES(mutex_);
   /// The pattern verdict of a finished run.
@@ -94,15 +73,14 @@ class GraphExecutor {
   /// executor no longer reacts to settlements.
   void unsubscribe();
 
-  // --- deferred pumping (Runtime::run_concurrent parallel path) ---
+  // --- deferred pumping (external drivers, e.g. entk-serve) ---
   // In deferred mode a settlement only queues its event; the graph
   // advances when the driver calls advance_local() (parallelizable
   // across sessions — it touches only this executor's state and the
   // user SpecFns) followed by flush_submit() (serial — the backend is
   // shared across sessions and not thread-safe). advance_local and
   // flush_submit for ONE executor must not run concurrently with each
-  // other; Runtime alternates a parallel advance phase and a serial
-  // flush phase.
+  // other. Both may be called from a settled observer.
   /// Enables/disables deferred mode. Toggle only between engine steps
   /// (no settlement callback in flight, no pending batch unflushed).
   void set_deferred(bool deferred) ENTK_EXCLUDES(mutex_);
@@ -112,10 +90,11 @@ class GraphExecutor {
   /// to advance only the ones that changed. An empty hook clears it.
   /// Set only between engine steps, like set_deferred.
   void set_event_hook(std::function<void()> hook);
-  /// Parallel-safe half of one pump round: applies queued settlement
-  /// events, decides groups, propagates skips, computes the next
-  /// frontier and materializes its specs — everything except the
-  /// submission itself. Returns true when flush_submit() has a batch.
+  /// Parallel-safe half of one pump round: the advance step (apply
+  /// queued settlement events, decide groups, propagate skips, compute
+  /// the next frontier and materialize its specs) — everything except
+  /// the submission itself. Returns true when flush_submit() has a
+  /// batch.
   bool advance_local() ENTK_EXCLUDES(mutex_);
   /// Serial half: submits the batch advance_local() materialized, in
   /// node-id order. Returns true when anything was submitted (another
@@ -193,8 +172,6 @@ class GraphExecutor {
       ENTK_EXCLUDES(mutex_);
 
  private:
-  /// Shared blocking tail of run()/resume(): wait, detach, verdict.
-  Status drive_run();
   struct Event {
     NodeId node;
     pilot::UnitState state;
@@ -217,19 +194,32 @@ class GraphExecutor {
   /// queued and drained by the active pump.
   void on_unit_settled(const pilot::ComputeUnitPtr& unit)
       ENTK_EXCLUDES(mutex_);
+  /// Immediate mode: claims the pump and runs pump_claimed(). Deferred
+  /// mode: advance_local() only.
   void pump() ENTK_EXCLUDES(mutex_);
+  /// Immediate mode, claim held: the advance step followed by its own
+  /// flush, in a loop until the step releases the claim.
+  void pump_claimed() ENTK_EXCLUDES(mutex_);
+  /// Takes the single-pumper claim (pumping_); false when another pump
+  /// holds it or the run finished.
+  bool claim_pump() ENTK_EXCLUDES(mutex_);
+  /// The advance step, run under the pump claim until a batch is
+  /// materialized into pending_frontier_/pending_specs_ (returns true,
+  /// claim still held) or the graph waits on in-flight units or
+  /// finished (returns false, claim released under the same lock that
+  /// saw the event queue drained or finished the run, so no settlement
+  /// slips past it and nothing touches a finished executor after it).
+  bool advance_claimed() ENTK_EXCLUDES(mutex_);
   /// Quiesced: abort resolution, chain-set verdicts, expanders.
   /// Returns true when an expander scheduled more work.
   bool handle_quiesce() ENTK_EXCLUDES(mutex_);
-  void submit_frontier(const std::vector<NodeId>& frontier)
-      ENTK_EXCLUDES(mutex_);
   /// Produces the frontier's specs at submission time, outside any
   /// lock — across the parallel pool when one is configured and the
   /// batch is large enough.
   std::vector<TaskSpec> materialize_specs(
       const std::vector<NodeId>& frontier) ENTK_EXCLUDES(mutex_);
   /// Submits an already-materialized batch and adopts the units (the
-  /// back half of submit_frontier; also the flush_submit work).
+  /// flush_submit work).
   void submit_specs(const std::vector<NodeId>& frontier,
                     std::vector<TaskSpec>& specs) ENTK_EXCLUDES(mutex_);
   void adopt_unit(NodeId id, const pilot::ComputeUnitPtr& unit)
@@ -255,8 +245,6 @@ class GraphExecutor {
 
   TaskGraph& graph_;
   PatternExecutor& executor_;
-  /// Whether the executor delivers settled events (else watch_unit).
-  bool use_events_ = false;
 
   mutable Mutex mutex_{LockRank::kGraphExecutor};
   std::vector<NodeRun> runs_ ENTK_GUARDED_BY(mutex_);
@@ -292,9 +280,10 @@ class GraphExecutor {
   std::size_t submitted_count_ ENTK_GUARDED_BY(mutex_) = 0;
   bool pumping_ ENTK_GUARDED_BY(mutex_) = false;
   bool deferred_ ENTK_GUARDED_BY(mutex_) = false;
-  /// The batch advance_local() materialized for flush_submit().
-  /// Unannotated by design: the advance/flush alternation (documented
-  /// above) is the synchronization, not mutex_.
+  /// The batch the advance step materialized for flush_submit().
+  /// Unannotated by design: the pump claim (immediate mode) or the
+  /// advance/flush alternation (deferred mode) is the synchronization,
+  /// not mutex_.
   std::vector<NodeId> pending_frontier_;
   std::vector<TaskSpec> pending_specs_;
   /// set_event_hook's callback; unannotated for the same reason.

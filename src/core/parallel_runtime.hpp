@@ -2,10 +2,10 @@
 //
 // One pool, configured once at startup (entk-run --runtime-threads,
 // bench flags, test fixtures), shared by every core consumer:
-// GraphExecutor materializes frontier specs across it and
-// Runtime::run_concurrent advances independent sessions' executor
-// pumps as pool tasks. Disabled (nullptr) by default — the serial
-// paths are byte-identical to the pre-pool runtime.
+// GraphExecutor materializes frontier specs across it and entk-serve
+// advances independent sessions' deferred executors as pool tasks.
+// Disabled (nullptr) by default — the serial paths are byte-identical
+// to the pre-pool runtime.
 //
 // The pilot and saga layers do NOT use this pool: LocalAgent and
 // LocalAdaptor own their pools (they sit below core in the module

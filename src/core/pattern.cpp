@@ -22,17 +22,9 @@ bool ExecutionPattern::GraphRun::finished() const {
 // compile to an explicit TaskGraph, hand the graph to the event-driven
 // executor. Patterns never touch the runtime directly any more — all
 // waiting, failure policy and retry bookkeeping lives in the executor.
-// Split into a non-blocking start and a blocking finish so
-// Runtime::run_concurrent can interleave N patterns' graphs under one
-// backend wait; execute() is the single-run composition of the two.
-Status ExecutionPattern::execute(PatternExecutor& executor) {
-  GraphRun run;
-  ENTK_RETURN_IF_ERROR(start_execute(run, executor));
-  const Status driven =
-      executor.drive_until([&run] { return run.finished(); });
-  return finish_execute(run, driven);
-}
-
+// Split into a non-blocking start and a finish so the caller owns the
+// one backend wait, which can interleave N patterns' graphs
+// (Runtime::run_concurrent).
 Status ExecutionPattern::start_execute(GraphRun& run,
                                        PatternExecutor& executor,
                                        bool deferred) {
@@ -42,15 +34,11 @@ Status ExecutionPattern::start_execute(GraphRun& run,
   ENTK_RETURN_IF_ERROR(compile(*graph));
   auto runner = std::make_unique<GraphExecutor>(*graph, executor);
   if (deferred) runner->set_deferred(true);
-  bool resuming = false;
   if (graph_run_observer_ != nullptr) {
-    auto prepared =
-        graph_run_observer_->prepare_run(*graph, *runner, executor);
-    if (!prepared.ok()) return prepared.status();
-    resuming = prepared.value();
+    ENTK_RETURN_IF_ERROR(
+        graph_run_observer_->prepare_run(*graph, *runner, executor));
   }
-  const Status started =
-      resuming ? runner->start_resumed() : runner->start();
+  const Status started = runner->start();
   if (!started.is_ok()) {
     // The run is over before it began; finish_execute reports this to
     // the observer, matching the old single-call error flow.

@@ -33,9 +33,8 @@ class GraphExecutor;
 
 /// The pattern-facing execution interface, implemented by the
 /// execution plugin. submit() translates specs into compute units and
-/// hands them to the runtime; drive_until() advances execution;
-/// subscribe_settled() delivers unit-settled events to the graph
-/// executor.
+/// hands them to the runtime; subscribe_settled() delivers unit-settled
+/// events to the graph executor — its only event source.
 class PatternExecutor {
  public:
   virtual ~PatternExecutor() = default;
@@ -43,19 +42,17 @@ class PatternExecutor {
   virtual Result<std::vector<pilot::ComputeUnitPtr>> submit(
       const std::vector<TaskSpec>& specs) = 0;
 
-  /// Advances the backend until `done()` holds.
-  virtual Status drive_until(const std::function<bool()>& done) = 0;
-
   /// Fired once per submitted unit when it settles (final state with
   /// no retry pending).
   using SettledFn = std::function<void(const pilot::ComputeUnitPtr&,
                                        pilot::UnitState)>;
 
-  /// Registers the settled-event subscription. Returns false when this
-  /// executor cannot deliver events — the graph executor then falls
-  /// back to per-unit watch_unit callbacks.
-  virtual bool subscribe_settled(SettledFn) { return false; }
-  virtual void unsubscribe_settled() {}
+  /// Registers the settled-event subscription (at most one at a time).
+  virtual void subscribe_settled(SettledFn fn) = 0;
+  /// Drops the subscription and waits for a notification in progress,
+  /// so the subscriber may be destroyed once it returns (never call it
+  /// from inside one); a no-op without a subscription.
+  virtual void unsubscribe_settled() = 0;
 };
 
 /// Hook between a pattern's compile and run steps — the attachment
@@ -67,16 +64,15 @@ class GraphRunObserver {
  public:
   virtual ~GraphRunObserver() = default;
 
-  /// Called after compile(), before the run starts. Return true to
-  /// continue a restored run (the pattern then calls resume() instead
-  /// of run()); the observer must have replayed the expander log and
-  /// injected the saved state first.
-  virtual Result<bool> prepare_run(TaskGraph& graph, GraphExecutor& runner,
-                                   PatternExecutor& executor) {
+  /// Called after compile(), before the run starts. To continue a
+  /// restored run the observer replays the expander log and injects
+  /// the saved state here; the run then starts from that state.
+  virtual Status prepare_run(TaskGraph& graph, GraphExecutor& runner,
+                             PatternExecutor& executor) {
     (void)graph;
     (void)runner;
     (void)executor;
-    return false;
+    return Status::ok();
   }
 
   /// Called after the run finishes (pass or fail). The runner is
@@ -104,18 +100,11 @@ class ExecutionPattern {
   /// accessors; they repopulate as the graph submits.
   virtual Status compile(TaskGraph& graph) = 0;
 
-  /// Orchestrates the pattern to completion through `executor`:
-  /// validate, compile to a TaskGraph, and run it under the
-  /// event-driven GraphExecutor. Returns the first error (validation,
-  /// submission, task failure — the latter filtered through the
-  /// failure rules, which the graph's verdict scopes enforce).
-  virtual Status execute(PatternExecutor& executor);
-
   /// One in-flight graph run, owned by the caller between
   /// start_execute() and finish_execute(). Opaque apart from
-  /// finished(); lets N sessions' patterns run concurrently under one
-  /// backend wait (Runtime::run_concurrent) — execute() is
-  /// start_execute + drive_until(finished) + finish_execute.
+  /// finished(); the caller drives the backend in between, so N
+  /// sessions' patterns can run under one backend wait
+  /// (Runtime::run_concurrent).
   class GraphRun {
    public:
     GraphRun();
@@ -128,8 +117,8 @@ class ExecutionPattern {
     bool finished() const;
     /// Whether start_execute succeeded and finish_execute has not run.
     bool active() const { return runner_ != nullptr; }
-    /// The underlying executor; nullptr unless active(). Runtime's
-    /// parallel session advancement drives it directly.
+    /// The underlying executor; nullptr unless active(). A deferred
+    /// driver (entk-serve) advances and flushes it directly.
     GraphExecutor* executor() { return runner_.get(); }
 
    private:
@@ -142,17 +131,17 @@ class ExecutionPattern {
     Status start_error_;
   };
 
-  /// Non-blocking front half of execute(): validate, compile into
-  /// `run`, consult the observer, and start the graph (initial
-  /// frontier submitted, settled events subscribed). On error the run
-  /// stays inactive and finish_execute must not be called. With
-  /// `deferred` the executor starts in deferred-pumping mode: even the
-  /// initial frontier only lands in the pending batch, so the driver
+  /// Non-blocking start of a run: validate, compile into `run`,
+  /// consult the observer, and start the graph (initial frontier
+  /// submitted, settled events subscribed). On error the run stays
+  /// inactive and finish_execute must not be called. With `deferred`
+  /// the executor starts in deferred-pumping mode: even the initial
+  /// frontier only lands in the pending batch, so the driver
   /// (entk-serve's fair-share scheduler) decides every submission.
   Status start_execute(GraphRun& run, PatternExecutor& executor,
                        bool deferred = false);
 
-  /// Blocking back half of execute(): `driven` is the caller's
+  /// Completes a run once the caller's wait ended: `driven` is its
   /// drive_until verdict. Detaches the executor, resolves the outcome,
   /// fires the observer end hook and on_graph_executed(), and
   /// deactivates `run`.
@@ -165,9 +154,9 @@ class ExecutionPattern {
   const FailureRules& failure_rules() const { return failure_rules_; }
 
   /// Attaches (or detaches, with nullptr) the run observer. Not owned;
-  /// must outlive execute(). Only consulted on the pattern execute()
-  /// is called on — children of composite patterns run inside the
-  /// parent's graph and need no observer of their own.
+  /// must outlive the run. Only consulted on the pattern that is run —
+  /// children of composite patterns run inside the parent's graph and
+  /// need no observer of their own.
   void set_graph_run_observer(GraphRunObserver* observer) {
     graph_run_observer_ = observer;
   }

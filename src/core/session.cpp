@@ -5,7 +5,6 @@
 
 #include "common/log.hpp"
 #include "core/graph_executor.hpp"
-#include "core/parallel_runtime.hpp"
 #include "obs/trace.hpp"
 
 namespace entk::core {
@@ -368,6 +367,10 @@ Result<std::vector<RunReport>> Runtime::run_concurrent(
     }
   }
 
+  // Every run pumps itself (immediate mode): each settlement advances
+  // and flushes its own graph inside the settle cascade, exactly as in
+  // a solo run, so each session's schedule is bit-identical to its
+  // solo schedule.
   obs::ScopedTraceClock trace_clock(backend_.clock());
   std::size_t started = 0;
   Status start_error;
@@ -376,57 +379,14 @@ Result<std::vector<RunReport>> Runtime::run_concurrent(
     if (!start_error.is_ok()) break;
     ++started;
   }
-  if (!start_error.is_ok()) {
-    // Defensive unwind (validation above should make this
-    // unreachable): settle what already started, then report.
-    for (std::size_t i = 0; i < started; ++i) {
-      Session& session = *runs[i].session;
-      const Status driven = backend_.drive_until(
-          [&session] { return session.run_finished(); }, timeout);
-      (void)session.finish_run(driven);
-    }
-    return start_error;
-  }
-
-  // Parallel session advancement: with a parallel pool configured and
-  // several sessions in flight, each executor defers its pumping —
-  // settlements only queue events during the engine step, and the
-  // wait predicate below advances every session's graph as pool tasks
-  // (the sessions share no graph state), then flushes the resulting
-  // submissions serially in session order (the backend is shared and
-  // not thread-safe). The predicate runs between engine steps, so no
-  // settlement callback is ever in flight while the pool advances.
-  WorkStealingPool* pool = parallel_pool();
-  std::vector<GraphExecutor*> executors;
-  if (pool != nullptr && runs.size() > 1) {
-    for (const SessionRun& entry : runs) {
-      GraphExecutor* executor = entry.session->run_executor();
-      if (executor != nullptr) {
-        executor->set_deferred(true);
-        executors.push_back(executor);
-      }
-    }
-  }
-  const auto advance_sessions = [&executors, pool] {
-    for (;;) {
-      pool->parallel_for(executors.size(), [&executors](std::size_t i) {
-        executors[i]->advance_local();
-      });
-      bool any_submitted = false;
-      for (GraphExecutor* executor : executors) {
-        if (executor->flush_submit()) any_submitted = true;
-      }
-      // A flushed submission can unblock further frontiers (fast
-      // synchronous settlement), so advance again until quiescent.
-      if (!any_submitted) return;
-    }
-  };
 
   // The one wait: a single drive interleaves every session's events
-  // on the shared backend.
-  const auto all_finished = [&runs, &executors, &advance_sessions] {
-    if (!executors.empty()) advance_sessions();
-    return std::all_of(runs.begin(), runs.end(),
+  // on the shared backend. (A failed start — which the validation
+  // above should make unreachable — still settles the runs already
+  // started before it is reported.)
+  const auto all_finished = [&runs, started] {
+    return std::all_of(runs.begin(),
+                       runs.begin() + static_cast<std::ptrdiff_t>(started),
                        [](const SessionRun& entry) {
                          return entry.session->run_finished();
                        });
@@ -435,17 +395,15 @@ Result<std::vector<RunReport>> Runtime::run_concurrent(
   if (!all_finished()) {
     driven = backend_.drive_until(all_finished, timeout);
   }
-  for (GraphExecutor* executor : executors) {
-    executor->set_deferred(false);
-  }
 
   std::vector<RunReport> reports;
-  reports.reserve(runs.size());
-  for (const SessionRun& entry : runs) {
-    auto report = entry.session->finish_run(driven);
+  reports.reserve(started);
+  for (std::size_t i = 0; i < started; ++i) {
+    auto report = runs[i].session->finish_run(driven);
     if (!report.ok()) return report.status();
     reports.push_back(report.take());
   }
+  if (!start_error.is_ok()) return start_error;
   if (!driven.is_ok()) return driven;
   return reports;
 }

@@ -154,8 +154,8 @@ class Session : public std::enable_shared_from_this<Session> {
   /// builds the report.
   Result<RunReport> finish_run(Status driven);
   /// The in-flight run's graph executor; nullptr when no run is
-  /// active or the run failed to start. Runtime::run_concurrent's
-  /// parallel path toggles deferred pumping through it.
+  /// active or the run failed to start. A deferred driver (entk-serve)
+  /// advances and flushes it directly.
   GraphExecutor* run_executor();
   /// Cancels an in-flight run: aborts the graph (unsubmitted nodes
   /// are swept to skipped) and cancels the units still in flight
@@ -246,7 +246,9 @@ class Runtime {
   };
 
   /// Runs every (session, pattern) pair concurrently over the shared
-  /// backend: all runs start, ONE drive_until advances them together
+  /// backend: all runs start, each pumping its own graph as in a solo
+  /// run (so each session's schedule matches its solo schedule), ONE
+  /// drive_until advances them together
   /// (a session whose pipeline stalls donates its cores' time to the
   /// others), and every run is finished and reported. Reports are in
   /// input order; per-pattern failures land in RunReport::outcome. An

@@ -149,7 +149,7 @@ Status ComputeUnit::advance_state(UnitState to, Status failure) {
     callbacks = callbacks_;
     // Settling is the last transition this unit will ever make: drop
     // the observer list so callback captures (frequently shared_ptrs
-    // to sibling units, as in watch_unit exchange chains) cannot form
+    // to sibling units, as in exchange chains) cannot form
     // unreclaimable reference cycles between units.
     if (settled_locked()) callbacks_.clear();
   }

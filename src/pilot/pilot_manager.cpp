@@ -33,9 +33,8 @@ Result<PilotPtr> PilotManager::submit_pilot(
   // counters, so each session's pilot uids match its solo run.
   // resubmit_like() reuses the finished pilot's description, session
   // included, so replacements stay in the owner's family.
-  const std::string prefix = description.session.empty()
-                                 ? "pilot"
-                                 : description.session + ".pilot";
+  const std::string prefix =
+      session_uid_family(description.session, "pilot");
   // prefix is already the owning session's pilot uid family.
   // entk-lint: allow(global-run-state)
   auto pilot = std::make_shared<Pilot>(next_uid(prefix), description,

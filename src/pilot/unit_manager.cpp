@@ -13,7 +13,7 @@ UnitManager::UnitManager(ExecutionBackend& backend, std::string session)
     : backend_(backend),
       session_(std::move(session)),
       session_ordinal_(obs::session_ordinal(session_)),
-      unit_uids_(session_.empty() ? "unit" : session_ + ".unit"),
+      unit_uids_(session_uid_family(session_, "unit")),
       gate_(std::make_shared<CallbackGate>()) {
   if (!session_.empty()) {
     // Session-labelled counters in the shared registry.

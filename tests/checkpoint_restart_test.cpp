@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -210,9 +211,7 @@ TEST(CheckpointRestart, FirstSnapshotFileBytesArePinned) {
   // A small seeded bag in a named session, uid counters reset: the
   // snapshot file the coordinator publishes is then a pure function of
   // the run, so its bytes are pinned. Capture and encoding may change
-  // how they are produced, never what they produce. (The session is
-  // named because an unnamed session's snapshot lists every uid family
-  // the process has interned, which depends on the tests run before.)
+  // how they are produced, never what they produce.
   const std::string dir = fresh_dir("ckpt_golden");
   reset_uid_counters_for_testing();
   auto registry = kernels::KernelRegistry::with_builtin_kernels();
@@ -245,6 +244,82 @@ TEST(CheckpointRestart, FirstSnapshotFileBytesArePinned) {
                           std::istreambuf_iterator<char>());
   EXPECT_EQ(bytes.size(), 77505u);
   EXPECT_EQ(ckpt::fnv1a(bytes), 0x1056c592023931c9ULL);
+}
+
+/// A named session on its own backend, allocated: its uid families are
+/// interned (and counting) in this process from here on.
+std::shared_ptr<Session> named_session(core::Runtime& runtime,
+                                       const std::string& name) {
+  ResourceOptions resources;
+  resources.cores = 64;
+  resources.runtime = 4.0e6;
+  auto session = runtime.create_session({name, resources});
+  EXPECT_TRUE(session.ok()) << session.status().to_string();
+  EXPECT_TRUE(session.value()->allocate().is_ok());
+  return session.take();
+}
+
+TEST(CheckpointRestart, UnnamedSnapshotBytesIgnoreEarlierNamedSessions) {
+  // An unnamed session's snapshot lists only the legacy families it
+  // owns, so its bytes must not depend on which named sessions ran in
+  // the process before it.
+  const std::string alone = ckpt::encode_snapshot(
+      run_until_crash(scale_test::scale_workload(200),
+                      fresh_dir("ckpt_unnamed_alone"),
+                      /*every_settled=*/50, /*crash_after=*/1));
+  {
+    auto registry = kernels::KernelRegistry::with_builtin_kernels();
+    pilot::SimBackend backend(scale_test::scale_machine());
+    core::Runtime runtime(backend, registry);
+    auto earlier = named_session(runtime, "earlier");
+    BagOfTasks pattern = scale_test::scale_workload(16);
+    auto report = earlier->run(pattern);
+    ASSERT_TRUE(report.ok()) << report.status().to_string();
+  }
+  const std::string after = ckpt::encode_snapshot(
+      run_until_crash(scale_test::scale_workload(200),
+                      fresh_dir("ckpt_unnamed_after"),
+                      /*every_settled=*/50, /*crash_after=*/1));
+  ASSERT_FALSE(alone.empty());
+  EXPECT_TRUE(after == alone)
+      << "snapshot bytes depend on process history (" << alone.size()
+      << " bytes alone, " << after.size() << " after a named session)";
+}
+
+TEST(CheckpointRestart, RestoringAnUnnamedSnapshotLeavesNamedCountersAlone) {
+  // A named session is live while an unnamed run is captured and later
+  // restored: the restore must not rewind the named session's counters
+  // (its next uids would repeat ones it already handed out).
+  auto registry = kernels::KernelRegistry::with_builtin_kernels();
+  pilot::SimBackend backend(scale_test::scale_machine());
+  core::Runtime runtime(backend, registry);
+  auto live = named_session(runtime, "live");
+  const std::string dir = fresh_dir("ckpt_unnamed_restore");
+  const ckpt::Snapshot snapshot =
+      run_until_crash(scale_test::scale_workload(200), dir,
+                      /*every_settled=*/50, /*crash_after=*/1);
+  ASSERT_FALSE(snapshot.units.empty());
+  BagOfTasks pattern = scale_test::scale_workload(16);
+  auto report = live->run(pattern);
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  const auto before = snapshot_uid_counters("live");
+  ASSERT_FALSE(before.empty());
+
+  // Reset only the unnamed session's families, so the pilot replay
+  // matches the snapshot while "live" keeps counting. "job" is shared
+  // by every session and the restore rewinds it anyway (see uid.hpp),
+  // so only the "live.*" families are compared below.
+  for (const char* family : {"unit", "pilot", "job"}) {
+    reset_uid_counters_with_prefix(family);
+  }
+  Runtime rt;
+  ASSERT_TRUE(rt.handle.allocate().is_ok());
+  ckpt::Coordinator::Options options;
+  options.directory = dir;
+  ckpt::Coordinator coordinator(rt.backend, rt.handle, std::move(options));
+  const Status restored = coordinator.restore_runtime(snapshot);
+  ASSERT_TRUE(restored.is_ok()) << restored.to_string();
+  EXPECT_EQ(snapshot_uid_counters("live"), before);
 }
 
 TEST(CheckpointRestart, StopRequestWritesFinalSnapshotAndStops) {

@@ -10,7 +10,6 @@
 #include "common/status.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "common/uid.hpp"
 
 namespace entk {
@@ -318,35 +317,6 @@ TEST(Table, RejectsBadRows) {
   Table table({"one", "two"});
   EXPECT_THROW(table.add_row(std::vector<std::string>{"only-one"}),
                std::logic_error);
-}
-
-// ------------------------------------------------------------- thread pool
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPool, DestructorDrainsPendingTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&] { counter.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(counter.load(), 50);
 }
 
 }  // namespace

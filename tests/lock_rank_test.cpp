@@ -25,7 +25,8 @@ namespace {
 TEST(LockRank, NamesAreStable) {
   EXPECT_STREQ(lock_rank_name(LockRank::kNone), "kNone");
   EXPECT_STREQ(lock_rank_name(LockRank::kUnitManager), "kUnitManager");
-  EXPECT_STREQ(lock_rank_name(LockRank::kThreadPool), "kThreadPool");
+  EXPECT_STREQ(lock_rank_name(LockRank::kWorkStealingPool),
+               "kWorkStealingPool");
   EXPECT_STREQ(lock_rank_name(LockRank::kLogger), "kLogger");
 }
 
@@ -40,7 +41,7 @@ TEST(LockRank, RanksAreStrictlyOrderedAlongTheRuntimeChain) {
   EXPECT_LT(static_cast<int>(LockRank::kLocalAdaptor),
             static_cast<int>(LockRank::kSagaJob));
   EXPECT_LT(static_cast<int>(LockRank::kLocalAgent),
-            static_cast<int>(LockRank::kThreadPool));
+            static_cast<int>(LockRank::kWorkStealingPool));
   EXPECT_LT(static_cast<int>(LockRank::kComputeUnit),
             static_cast<int>(LockRank::kTraceRecorder));
   EXPECT_LT(static_cast<int>(LockRank::kTraceRecorder),
@@ -67,7 +68,7 @@ int exit_status_of(Body body) {
 
 TEST(LockRankCheck, InOrderAcquisitionPasses) {
   Mutex low(LockRank::kUnitManager);
-  Mutex high(LockRank::kThreadPool);
+  Mutex high(LockRank::kWorkStealingPool);
   {
     MutexLock outer(low);
     MutexLock inner(high);
@@ -77,7 +78,7 @@ TEST(LockRankCheck, InOrderAcquisitionPasses) {
 }
 
 TEST(LockRankCheck, UnrankedLocksAreExemptFromOrdering) {
-  Mutex ranked(LockRank::kThreadPool);
+  Mutex ranked(LockRank::kWorkStealingPool);
   Mutex unranked;
   MutexLock outer(ranked);
   MutexLock inner(unranked);  // kNone after a high rank: allowed
@@ -87,9 +88,9 @@ TEST(LockRankCheck, UnrankedLocksAreExemptFromOrdering) {
 TEST(LockRankCheck, OutOfOrderAcquisitionAborts) {
   const int status = exit_status_of([] {
     Mutex low(LockRank::kUnitManager);
-    Mutex high(LockRank::kThreadPool);
+    Mutex high(LockRank::kWorkStealingPool);
     MutexLock outer(high);
-    MutexLock inner(low);  // rank 30 while holding 80: must abort
+    MutexLock inner(low);  // rank 30 while holding 76: must abort
   });
   ASSERT_TRUE(WIFSIGNALED(status));
   EXPECT_EQ(WTERMSIG(status), SIGABRT);
@@ -119,7 +120,7 @@ TEST(LockRankCheck, SelfDeadlockAborts) {
 TEST(LockRankCheck, SharedMutexParticipates) {
   const int status = exit_status_of([] {
     SharedMutex low(LockRank::kUnitManager);
-    Mutex high(LockRank::kThreadPool);
+    Mutex high(LockRank::kWorkStealingPool);
     MutexLock outer(high);
     SharedReaderLock inner(low);  // readers obey the same order
   });
@@ -132,7 +133,7 @@ TEST(LockRankCheck, SharedMutexParticipates) {
 TEST(LockRankCheck, DisabledValidatorIsFree) {
   // Release builds keep the rank argument but compile the hooks to
   // no-ops; held_count is always zero.
-  Mutex mutex(LockRank::kThreadPool);
+  Mutex mutex(LockRank::kWorkStealingPool);
   MutexLock lock(mutex);
   EXPECT_EQ(lockrank::held_count(), 0);
 }

@@ -75,48 +75,88 @@ std::shared_ptr<Session> make_session(Runtime& runtime,
   return session.take();
 }
 
+using PatternFactory = std::unique_ptr<ExecutionPattern> (*)();
+
+std::unique_ptr<ExecutionPattern> bag_workload() {
+  return std::make_unique<BagOfTasks>(scale_test::scale_workload(kUnits));
+}
+
+/// Multi-stage workloads: every stage after the first is submitted from
+/// a settlement mid-drive, the path a bag (all units submitted up front)
+/// never takes. Both overfill a session's 1024 cores, so the backfill
+/// order of the mid-drive submissions shows in the digests.
+std::unique_ptr<ExecutionPattern> eop_workload() {
+  auto pattern = std::make_unique<EnsembleOfPipelines>(600, 3);
+  for (Count stage = 1; stage <= 3; ++stage) {
+    pattern->set_stage(stage, scale_test::scale_task);
+  }
+  return pattern;
+}
+
+std::unique_ptr<ExecutionPattern> sal_workload() {
+  auto pattern = std::make_unique<SimulationAnalysisLoop>(3, 800, 64);
+  pattern->set_simulation(scale_test::scale_task);
+  pattern->set_analysis(scale_test::scale_task);
+  return pattern;
+}
+
 /// Same-seed solo baseline: the named session alone on a fresh
-/// backend.
-std::uint64_t solo_digest(const std::string& name) {
+/// backend. Sets `units` to the run's unit count when given.
+std::uint64_t solo_digest(const std::string& name,
+                          PatternFactory make = bag_workload,
+                          std::size_t* units = nullptr) {
   reset_uid_counters_for_testing();
   auto registry = kernels::KernelRegistry::with_builtin_kernels();
   pilot::SimBackend backend(multi_machine());
   Runtime runtime(backend, registry);
   auto session = make_session(runtime, name);
-  BagOfTasks pattern = scale_test::scale_workload(kUnits);
-  auto report = session->run(pattern);
+  const auto pattern = make();
+  auto report = session->run(*pattern);
   EXPECT_TRUE(report.ok()) << report.status().to_string();
   if (!report.ok()) return 0;
   EXPECT_TRUE(report.value().outcome.is_ok())
       << report.value().outcome.to_string();
   EXPECT_EQ(report.value().session, name);
+  if (units != nullptr) *units = report.value().units.size();
   return scale_test::trace_digest(report.value().units);
 }
 
-TEST(MultiSession, ConcurrentTracesMatchSoloRunsBitIdentical) {
-  const std::uint64_t solo_alpha = solo_digest("alpha");
-  const std::uint64_t solo_beta = solo_digest("beta");
+/// Runs alpha and beta concurrently on `make`'s workload with a
+/// `threads`-worker parallel pool (0 = serial; the pool materializes
+/// large frontiers) and checks that each session's trace is
+/// bit-identical to its solo run: parallelism and sharing the backend
+/// may change WHEN graph bookkeeping happens on the host, never WHAT
+/// gets scheduled on the simulated clock.
+void expect_concurrent_matches_solo(PatternFactory make,
+                                    std::size_t threads) {
+  std::size_t solo_units = 0;
+  const std::uint64_t solo_alpha = solo_digest("alpha", make, &solo_units);
+  const std::uint64_t solo_beta = solo_digest("beta", make);
   ASSERT_NE(solo_alpha, 0u);
   ASSERT_NE(solo_beta, 0u);
   // Same workload, different uid family: the digests must differ, or
   // the equality checks below would pass vacuously.
   ASSERT_NE(solo_alpha, solo_beta);
 
+  struct PoolReset {
+    ~PoolReset() { set_parallel_threads(0); }
+  } reset_on_exit;
+  set_parallel_threads(threads);
   reset_uid_counters_for_testing();
   auto registry = kernels::KernelRegistry::with_builtin_kernels();
   pilot::SimBackend backend(multi_machine());
   Runtime runtime(backend, registry);
   auto alpha = make_session(runtime, "alpha");
   auto beta = make_session(runtime, "beta");
-  BagOfTasks pattern_a = scale_test::scale_workload(kUnits);
-  BagOfTasks pattern_b = scale_test::scale_workload(kUnits);
+  const auto pattern_a = make();
+  const auto pattern_b = make();
   auto reports = runtime.run_concurrent(
-      {{alpha, &pattern_a}, {beta, &pattern_b}});
+      {{alpha, pattern_a.get()}, {beta, pattern_b.get()}});
   ASSERT_TRUE(reports.ok()) << reports.status().to_string();
   ASSERT_EQ(reports.value().size(), 2u);
   for (const auto& report : reports.value()) {
     EXPECT_TRUE(report.outcome.is_ok()) << report.outcome.to_string();
-    EXPECT_EQ(report.units.size(), static_cast<std::size_t>(kUnits));
+    EXPECT_EQ(report.units.size(), solo_units);
   }
   EXPECT_EQ(reports.value()[0].session, "alpha");
   EXPECT_EQ(reports.value()[1].session, "beta");
@@ -126,41 +166,66 @@ TEST(MultiSession, ConcurrentTracesMatchSoloRunsBitIdentical) {
             solo_beta);
 }
 
-TEST(MultiSession, ParallelAdvancementMatchesSoloRunsBitIdentical) {
-  // Same contract as above, with the work-stealing pool advancing the
-  // two sessions' executors as parallel tasks between engine steps
-  // (Runtime::run_concurrent's deferred-pumping path). Parallelism
-  // must change WHEN graph bookkeeping happens on the host, never
-  // WHAT gets scheduled on the simulated clock.
-  const std::uint64_t solo_alpha = solo_digest("alpha");
-  const std::uint64_t solo_beta = solo_digest("beta");
-  ASSERT_NE(solo_alpha, 0u);
-  ASSERT_NE(solo_beta, 0u);
+TEST(MultiSession, ConcurrentTracesMatchSoloRunsBitIdentical) {
+  expect_concurrent_matches_solo(bag_workload, 0);
+}
 
-  struct PoolReset {
-    ~PoolReset() { set_parallel_threads(0); }
-  } reset_on_exit;
-  set_parallel_threads(4);
-  reset_uid_counters_for_testing();
+TEST(MultiSession, ParallelAdvancementMatchesSoloRunsBitIdentical) {
+  // Each session still pumps its own graph; the pool materializes the
+  // sessions' large initial frontiers.
+  expect_concurrent_matches_solo(bag_workload, 4);
+}
+
+TEST(MultiSession, PipelineChainsMatchSoloRunsBitIdentical) {
+  expect_concurrent_matches_solo(eop_workload, 0);
+}
+
+TEST(MultiSession, PipelineChainsWithParallelPoolMatchSoloRuns) {
+  expect_concurrent_matches_solo(eop_workload, 4);
+}
+
+TEST(MultiSession, SalIterationsMatchSoloRunsBitIdentical) {
+  expect_concurrent_matches_solo(sal_workload, 0);
+}
+
+TEST(MultiSession, SalIterationsWithParallelPoolMatchSoloRuns) {
+  expect_concurrent_matches_solo(sal_workload, 4);
+}
+
+TEST(MultiSession, LocalBackendChainsSubmitEveryStageOnce) {
+  // On the LocalBackend settlements arrive on agent worker threads, so
+  // several threads pump each session's graph at once; the pump claim
+  // must still submit every pipeline stage exactly once.
   auto registry = kernels::KernelRegistry::with_builtin_kernels();
-  pilot::SimBackend backend(multi_machine());
+  pilot::LocalBackend backend(8);
   Runtime runtime(backend, registry);
-  auto alpha = make_session(runtime, "alpha");
-  auto beta = make_session(runtime, "beta");
-  BagOfTasks pattern_a = scale_test::scale_workload(kUnits);
-  BagOfTasks pattern_b = scale_test::scale_workload(kUnits);
-  auto reports = runtime.run_concurrent(
-      {{alpha, &pattern_a}, {beta, &pattern_b}});
+  std::vector<Runtime::SessionRun> runs;
+  std::vector<std::unique_ptr<EnsembleOfPipelines>> patterns;
+  for (const char* name : {"left", "right"}) {
+    ResourceOptions options;
+    options.cores = 4;
+    auto session = runtime.create_session({name, options});
+    ASSERT_TRUE(session.ok()) << session.status().to_string();
+    ASSERT_TRUE(session.value()->allocate().is_ok());
+    auto pattern = std::make_unique<EnsembleOfPipelines>(8, 3);
+    for (Count stage = 1; stage <= 3; ++stage) {
+      pattern->set_stage(stage, [](const StageContext&) {
+        TaskSpec spec;
+        spec.kernel = "misc.sleep";
+        spec.args.set("duration", 0.001);
+        return spec;
+      });
+    }
+    runs.push_back({session.take(), pattern.get()});
+    patterns.push_back(std::move(pattern));
+  }
+  auto reports = runtime.run_concurrent(runs, 60.0);
   ASSERT_TRUE(reports.ok()) << reports.status().to_string();
-  ASSERT_EQ(reports.value().size(), 2u);
   for (const auto& report : reports.value()) {
     EXPECT_TRUE(report.outcome.is_ok()) << report.outcome.to_string();
-    EXPECT_EQ(report.units.size(), static_cast<std::size_t>(kUnits));
+    EXPECT_EQ(report.units.size(), 24u);
+    EXPECT_EQ(report.units_done, 24u);
   }
-  EXPECT_EQ(scale_test::trace_digest(reports.value()[0].units),
-            solo_alpha);
-  EXPECT_EQ(scale_test::trace_digest(reports.value()[1].units),
-            solo_beta);
 }
 
 TEST(MultiSession, FailFastAbortLeavesTheOtherSessionConverging) {

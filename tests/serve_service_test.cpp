@@ -14,6 +14,7 @@
 
 #include "common/lock_rank.hpp"
 #include "common/mutex.hpp"
+#include "core/parallel_runtime.hpp"
 #include "core/workload_file.hpp"
 #include "serve/json.hpp"
 #include "serve/service.hpp"
@@ -336,18 +337,21 @@ TEST(ServeService, WeightedFairShareTracksWeightsUnderContention) {
   EXPECT_EQ(stats.completed, 16u);
 }
 
-TEST(ServeService, FairShareDecisionsArePinned) {
-  // Every workload is queued before the drive thread starts, so
-  // admission and every DRR round depend only on the drive thread and
-  // the virtual clock. The contended tallies fingerprint every
-  // dispatch decision of the run: a drive-pass change that moves any
-  // of them changes the fair-share policy, not just its cost.
+/// Runs the pinned 40-workload, 4-tenant mix to the end and returns
+/// each tenant's contended dispatch tally (tenant name order). Every
+/// workload is queued before the drive thread starts, so admission and
+/// every DRR round depend only on the drive thread and the virtual
+/// clock. The tallies fingerprint every dispatch decision of the run: a
+/// drive-pass change that moves any of them changes the fair-share
+/// policy, not just its cost.
+std::vector<std::uint64_t> pinned_mix_contended_tallies() {
   ServiceConfig config;
   config.max_active_sessions = 6;
   config.max_inflight_total = 12;
   config.drr_quantum = 3;
   auto created = Service::create(config);
-  ASSERT_TRUE(created.ok());
+  EXPECT_TRUE(created.ok());
+  if (!created.ok()) return {};
   Service& service = *created.value();
   const char* names[] = {"a", "b", "c", "d"};
   const double weights[] = {1.0, 2.0, 0.4, 3.0};  // 0.4 banks credit
@@ -356,14 +360,14 @@ TEST(ServeService, FairShareDecisionsArePinned) {
     tenant.weight = weights[t];
     tenant.max_inflight_units = t == 3 ? 5 : 4096;
     tenant.max_sessions = t == 1 ? 1 : 3;
-    ASSERT_TRUE(service.configure_tenant(names[t], tenant).is_ok());
+    EXPECT_TRUE(service.configure_tenant(names[t], tenant).is_ok());
   }
   for (int i = 0; i < 40; ++i) {
     const auto size = static_cast<std::size_t>(i);
     const core::WorkloadSpec spec =
         i % 3 == 0 ? eop_spec(2 + size % 5, 3)
                    : bag_spec(1 + (size * 13) % 40, 1 + i % 3);
-    ASSERT_TRUE(service.submit(names[(i * 3 + i / 4) % 4], spec).ok());
+    EXPECT_TRUE(service.submit(names[(i * 3 + i / 4) % 4], spec).ok());
   }
   std::thread driver([&service] { service.run(); });
   service.drain();
@@ -375,7 +379,25 @@ TEST(ServeService, FairShareDecisionsArePinned) {
   for (const TenantStats& tenant : stats.tenants) {
     contended.push_back(tenant.contended_dispatched_units);
   }
-  EXPECT_EQ(contended, (std::vector<std::uint64_t>{109, 104, 154, 131}));
+  return contended;
+}
+
+TEST(ServeService, FairShareDecisionsArePinned) {
+  EXPECT_EQ(pinned_mix_contended_tallies(),
+            (std::vector<std::uint64_t>{109, 104, 154, 131}));
+}
+
+TEST(ServeService, ParallelAdvanceKeepsFairShareDecisionsPinned) {
+  // With a pool configured, a drive pass in which several tenants'
+  // graphs changed advances them as pool tasks (phase 1 of
+  // advance_and_flush). The graphs share no state, so every dispatch
+  // decision must match the serial pass.
+  struct PoolReset {
+    ~PoolReset() { core::set_parallel_threads(0); }
+  } reset_on_exit;
+  core::set_parallel_threads(4);
+  EXPECT_EQ(pinned_mix_contended_tallies(),
+            (std::vector<std::uint64_t>{109, 104, 154, 131}));
 }
 
 // ---------------------------------------------------------------------

@@ -2,16 +2,14 @@
 //
 // Patterns are compilers now: these tests check the graphs they emit
 // (topology, groups, gates, chain sets, expanders), the Graphviz
-// rendering, custom user-defined graphs driven through handle.run, the
-// watch_unit fallback for executors without settled events, and the
-// stalled-graph diagnostic.
+// rendering, custom user-defined graphs driven through handle.run, and
+// the stalled-graph diagnostic.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 
 #include "core/entk.hpp"
-#include "pilot/pilot_manager.hpp"
 
 namespace entk::core {
 namespace {
@@ -240,52 +238,6 @@ TEST_F(SimRunFixture, CustomDiamondGraphRunsInDependencyOrder) {
   // D joins: starts only after BOTH B and C finished.
   EXPECT_GE(units[3]->exec_started_at(), units[1]->finished_at());
   EXPECT_GE(units[3]->exec_started_at(), units[2]->finished_at());
-}
-
-/// Wraps a real executor but refuses settled subscriptions, forcing
-/// the graph executor onto its per-unit watch_unit fallback.
-class NoEventsExecutor final : public PatternExecutor {
- public:
-  explicit NoEventsExecutor(PatternExecutor& inner) : inner_(inner) {}
-  Result<std::vector<pilot::ComputeUnitPtr>> submit(
-      const std::vector<TaskSpec>& specs) override {
-    return inner_.submit(specs);
-  }
-  Status drive_until(const std::function<bool()>& done) override {
-    return inner_.drive_until(done);
-  }
-  // subscribe_settled: inherited default, returns false.
-
- private:
-  PatternExecutor& inner_;
-};
-
-TEST(GraphExecutorFallback, RunsPipelinesThroughWatchUnit) {
-  auto registry = kernels::KernelRegistry::with_builtin_kernels();
-  pilot::SimBackend backend(sim::localhost_profile());
-  pilot::PilotManager pilot_manager(backend);
-  pilot::PilotDescription description;
-  description.resource = "localhost";
-  description.cores = 4;
-  description.runtime = 100000.0;
-  auto pilot = pilot_manager.submit_pilot(description);
-  ASSERT_TRUE(pilot.ok());
-  ASSERT_TRUE(pilot_manager.wait_active(pilot.value()).is_ok());
-  pilot::UnitManager unit_manager(backend);
-  unit_manager.add_pilot(pilot.take());
-  ExecutionPlugin plugin(registry, unit_manager, backend);
-  NoEventsExecutor no_events(plugin);
-
-  EnsembleOfPipelines pattern(2, 2);
-  pattern.set_stage(1, [](const StageContext& context) {
-    return sleep_spec(1.0 + static_cast<double>(context.instance));
-  });
-  pattern.set_stage(2, [](const StageContext&) { return sleep_spec(1.0); });
-  ASSERT_TRUE(pattern.execute(no_events).is_ok());
-  ASSERT_EQ(pattern.units().size(), 4u);
-  for (const auto& unit : pattern.units()) {
-    EXPECT_EQ(unit->state(), pilot::UnitState::kDone);
-  }
 }
 
 /// A pattern whose node gates on a stage group containing itself: the

@@ -236,6 +236,31 @@ TEST(WorkStealingPool, MetricsSinkSeesExecutedCounts) {
 
 // ------------------------------------------------------ shutdown safety
 
+TEST(WorkStealingPool, ConcurrentSubmittersExecuteEveryAcceptedTask) {
+  constexpr std::size_t kSubmitters = 4;
+  constexpr std::size_t kTasksEach = 500;
+  std::atomic<std::size_t> executed{0};
+  std::atomic<std::size_t> accepted{0};
+  WorkStealingPool pool(3);
+  std::vector<std::thread> submitters;
+  submitters.reserve(kSubmitters);
+  for (std::size_t s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&] {
+      for (std::size_t i = 0; i < kTasksEach; ++i) {
+        if (pool.try_submit_external(TaskFn([&executed] {
+              executed.fetch_add(1, std::memory_order_relaxed);
+            }))) {
+          accepted.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& submitter : submitters) submitter.join();
+  pool.wait_idle();
+  EXPECT_EQ(accepted.load(), kSubmitters * kTasksEach);
+  EXPECT_EQ(executed.load(), kSubmitters * kTasksEach);
+}
+
 TEST(WorkStealingPool, ShutdownUnderLoadNeverLosesAcceptedTasks) {
   for (int round = 0; round < 20; ++round) {
     std::atomic<std::size_t> executed{0};
