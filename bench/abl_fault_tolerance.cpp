@@ -52,9 +52,10 @@ FaultRunResult run_bag(const sim::FaultSpec& fault, Count max_retries) {
   unit_description.simulated_duration = 30.0;
   unit_description.retry.max_retries = max_retries;
   unit_description.retry.backoff_base = 5.0;
-  std::vector<pilot::UnitDescription> descriptions(64, unit_description);
+  const std::vector<pilot::SharedUnitDescription> descriptions(
+      64, std::make_shared<const pilot::UnitDescription>(unit_description));
   const double start = backend.clock().now();
-  auto units = manager.submit_units(std::move(descriptions));
+  auto units = manager.submit_units(descriptions);
   ENTK_CHECK(units.ok(), "unit submit failed");
   ENTK_CHECK(manager.wait_units(units.value()).is_ok(),
              "wait_units failed");

@@ -26,6 +26,7 @@
 //
 // docs/PERFORMANCE.md describes the methodology and the JSON schema;
 // tools/check_bench_regression.py gates CI on the result.
+#include <malloc.h>
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -67,6 +68,9 @@ double wall_seconds_since(
                                        start)
       .count();
 }
+
+/// glibc: bytes currently handed out by malloc (live heap).
+std::size_t heap_in_use_bytes() { return mallinfo2().uordblks; }
 
 /// Linux: ru_maxrss is KiB. Monotone per process (high-water mark).
 double peak_rss_mb() {
@@ -244,6 +248,9 @@ struct SweepPoint {
   double toolkit_overhead_per_unit_s = 0.0;  ///< Virtual-time overhead.
   double ttc = 0.0;                          ///< Virtual time-to-completion.
   double peak_rss_mb = 0.0;
+  /// Heap bytes held per unit once start_run has submitted the initial
+  /// frontier (every unit of a bag); -1 = not measured (non-bag points).
+  double retained_bytes_per_unit = -1.0;
 };
 
 SweepPoint run_pattern(const std::string& label, const std::string& scaling,
@@ -274,8 +281,36 @@ SweepPoint run_pattern(const std::string& label, const std::string& scaling,
     pattern.set_graph_run_observer(&*coordinator);
   }
   const std::uint64_t events_before = backend.engine().dispatched_events();
+  // ResourceHandle::run spelled out, so the heap can be read between
+  // start_run (which submits every unit of a bag) and the drive.
+  core::Session& session = handle.session();
+  const std::size_t heap_before = heap_in_use_bytes();
   const auto start = std::chrono::steady_clock::now();
-  auto report = handle.run(pattern);
+  Result<core::RunReport> report =
+      make_error(Errc::kInternal, "run not attempted");
+  {
+    obs::ScopedTraceClock trace_clock(backend.clock());
+    Status started = session.start_run(pattern);
+    if (started.is_ok()) {
+      if (label == "bot") {
+        const std::size_t submitted = handle.unit_manager()->total_units();
+        const std::size_t heap_after = heap_in_use_bytes();
+        if (submitted > 0 && heap_after > heap_before) {
+          point.retained_bytes_per_unit =
+              static_cast<double>(heap_after - heap_before) /
+              static_cast<double>(submitted);
+        }
+      }
+      Status driven = Status::ok();
+      if (!session.run_finished()) {
+        driven = backend.drive_until(
+            [&session] { return session.run_finished(); });
+      }
+      report = session.finish_run(std::move(driven));
+    } else {
+      report = std::move(started);
+    }
+  }
   point.wall_seconds = wall_seconds_since(start);
   if (!report.ok() || !report.value().outcome.is_ok()) {
     const Status status =
@@ -685,7 +720,12 @@ void write_json(const std::string& path, const std::string& mode,
         << ", \"toolkit_overhead_per_unit_s\": "
         << json_number(p.toolkit_overhead_per_unit_s)
         << ", \"ttc\": " << json_number(p.ttc)
-        << ", \"peak_rss_mb\": " << json_number(p.peak_rss_mb) << "}"
+        << ", \"peak_rss_mb\": " << json_number(p.peak_rss_mb);
+    if (p.retained_bytes_per_unit >= 0.0) {
+      out << ", \"retained_bytes_per_unit\": "
+          << json_number(p.retained_bytes_per_unit);
+    }
+    out << "}"
         << (i + 1 < sweeps.size() ? "," : "") << "\n";
   }
   out << "  ],\n";

@@ -161,10 +161,8 @@ Result<Snapshot> Coordinator::capture() {
     record.state = unit.save_state();
     record.settled = flags[i].settled;
     record.notified = flags[i].notified;
-    // Aliases the unit's immutable description: nothing is copied, and
-    // the record keeps the unit alive until the snapshot is dropped.
-    record.description = std::shared_ptr<const pilot::UnitDescription>(
-        std::move(units[i]), &unit.description());
+    // Shares the unit's immutable description: nothing is copied.
+    record.description = unit.shared_description();
   }
   snap.pattern_overhead = plugin_->pattern_overhead();
   snap.unit_manager = manager->save_state();
@@ -304,11 +302,10 @@ Status Coordinator::restore_runtime(const Snapshot& snap) {
   std::vector<pilot::ComputeUnitPtr> ordered;
   ordered.reserve(snap.units.size());
   for (const auto& record : snap.units) {
-    auto unit = std::make_shared<pilot::ComputeUnit>(
-        record.uid, *record.description, backend_.clock(),
-        manager->session_ordinal());
-    unit->restore_state(record.state);
-    manager->restore_unit(unit, record.settled, record.notified);
+    // Adopts the record's description: the unit shares it.
+    pilot::ComputeUnitPtr unit =
+        manager->restore_unit(record.uid, record.description, record.state,
+                              record.settled, record.notified);
     units_by_uid_.emplace(record.uid, unit);
     ordered.push_back(std::move(unit));
   }

@@ -56,9 +56,9 @@ inline constexpr std::uint32_t kMinFormatVersion = 1;
 /// One compute unit: identity, (re)creation inputs, and captured state.
 struct UnitRecord {
   std::string uid;
-  /// Never null. Capture aliases the live unit's immutable description
-  /// (and so keeps the unit alive) instead of copying it; decode owns
-  /// a fresh one. payload is dropped on encode (sim backend only).
+  /// Never null. Capture shares the live unit's immutable description
+  /// instead of copying it; decode owns a fresh one, which the restored
+  /// unit adopts. payload is dropped on encode (sim backend only).
   std::shared_ptr<const pilot::UnitDescription> description;
   pilot::ComputeUnit::SavedState state;
   bool settled = false;   ///< UnitManager entry flag.

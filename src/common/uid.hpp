@@ -66,19 +66,15 @@ void reset_uid_counters_with_prefix(const std::string& family);
 /// Snapshot of the (prefix, next-counter) pairs of the families session
 /// `session` owns — "<session>.<kind>" for a named session, the
 /// dot-free legacy families for the unnamed one — sorted by prefix, so
-/// the result depends on the session's own history only. Exception:
-/// dot-free families that every session shares (the saga adaptors'
-/// "job") count as the unnamed session's, so its snapshot carries them
-/// with their process-wide values. Used by checkpoint/restart.
+/// the result depends on the session's own history only. Used by
+/// checkpoint/restart.
 std::vector<std::pair<std::string, std::uint64_t>> snapshot_uid_counters(
     const std::string& session);
 
 /// Restores counter values from a snapshot of `session` (creating
 /// missing prefixes). Only that session's families are written: other
 /// sessions' "<session>.<kind>" counters are never touched, whatever
-/// the snapshot lists. The shared dot-free families (see above) are
-/// the exception: restoring an unnamed snapshot rewinds "job" for
-/// every session.
+/// the snapshot lists.
 /// Prefixes absent from the snapshot are left untouched; callers that
 /// need a clean slate reset the counters first.
 void restore_uid_counters(

@@ -22,7 +22,7 @@ ExecutionPlugin::ExecutionPlugin(const kernels::KernelRegistry& registry,
                                  pilot::ExecutionBackend& backend)
     : ExecutionPlugin(registry, unit_manager, backend, Options()) {}
 
-Result<pilot::UnitDescription> ExecutionPlugin::translate(
+Result<pilot::SharedUnitDescription> ExecutionPlugin::translate(
     const TaskSpec& spec) const {
   auto kernel = registry_.find(spec.kernel);
   if (!kernel.ok()) return kernel.status();
@@ -30,11 +30,13 @@ Result<pilot::UnitDescription> ExecutionPlugin::translate(
   if (!bound.ok()) return bound.status();
   kernels::BoundKernel& resolved = bound.value();
 
-  pilot::UnitDescription description;
-  description.name = resolved.kernel_name;
-  description.executable = resolved.executable;
-  description.arguments = resolved.arguments;
-  description.environment = resolved.environment;
+  auto shared = std::make_shared<pilot::UnitDescription>();
+  pilot::UnitDescription& description = *shared;
+  description.name = std::move(resolved.kernel_name);
+  description.executable = std::move(resolved.executable);
+  description.arguments = std::move(resolved.arguments);
+  description.environment = std::move(resolved.environment);
+  description.session = unit_manager_.session();
   if (!resolved.pre_exec.empty()) {
     description.environment["ENTK_PRE_EXEC"] =
         join(resolved.pre_exec, " && ");
@@ -57,7 +59,7 @@ Result<pilot::UnitDescription> ExecutionPlugin::translate(
   description.simulated_fail = spec.inject_failure;
   description.simulated_hang = spec.inject_hang;
   description.retry = spec.retry;
-  return description;
+  return pilot::SharedUnitDescription(std::move(shared));
 }
 
 Result<std::vector<pilot::ComputeUnitPtr>> ExecutionPlugin::submit(
@@ -65,10 +67,16 @@ Result<std::vector<pilot::ComputeUnitPtr>> ExecutionPlugin::submit(
   if (specs.empty()) {
     return make_error(Errc::kInvalidArgument, "no tasks to submit");
   }
-  std::vector<pilot::UnitDescription> descriptions;
+  // A run of equal specs (a bag, one stage of an ensemble) binds its
+  // kernel once: every unit of the run shares the description.
+  std::vector<pilot::SharedUnitDescription> descriptions;
   descriptions.reserve(specs.size());
-  for (const auto& spec : specs) {
-    auto description = translate(spec);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (i > 0 && specs[i] == specs[i - 1]) {
+      descriptions.push_back(descriptions.back());
+      continue;
+    }
+    auto description = translate(specs[i]);
     if (!description.ok()) return description.status();
     descriptions.push_back(description.take());
   }
@@ -81,7 +89,7 @@ Result<std::vector<pilot::ComputeUnitPtr>> ExecutionPlugin::submit(
   // Counter (not a span): on the sim backend advance() is a no-op
   // while the engine dispatches, so only the charge value is reliable.
   ENTK_TRACE_COUNTER("overhead.pattern", "core", charge);
-  auto units = unit_manager_.submit_units(std::move(descriptions));
+  auto units = unit_manager_.submit_units(descriptions);
   if (!units.ok()) return units.status();
   {
     MutexLock lock(mutex_);

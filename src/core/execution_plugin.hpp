@@ -43,8 +43,10 @@ class ExecutionPlugin final : public PatternExecutor {
   void unsubscribe_settled() override;
 
   /// Translates a single spec without submitting (exposed for tests
-  /// and for tools that inspect the binding).
-  Result<pilot::UnitDescription> translate(const TaskSpec& spec) const;
+  /// and for tools that inspect the binding), stamped with the unit
+  /// manager's session. submit() calls it once per run of equal specs
+  /// and shares the result among their units.
+  Result<pilot::SharedUnitDescription> translate(const TaskSpec& spec) const;
 
   /// Accumulated pattern overhead (task creation + submission time).
   Duration pattern_overhead() const ENTK_EXCLUDES(mutex_);

@@ -76,9 +76,11 @@ void GraphExecutor::on_unit_settled(const pilot::ComputeUnitPtr& unit) {
   bool deferred = false;
   {
     MutexLock lock(mutex_);
-    const auto it = node_of_.find(unit.get());
-    if (it == node_of_.end()) return;  // not one of this graph's units
-    events_.push_back({it->second, unit->state()});
+    const std::uint32_t ordinal = unit->ordinal();
+    if (ordinal >= node_of_.size()) return;  // not one of this graph's
+    const NodeId id = node_of_[ordinal];
+    if (id == kNoNode || runs_[id].unit != unit) return;
+    events_.push_back({id, unit->state()});
     deferred = deferred_;
     // Immediate: claim the pump with the event, or leave the event to
     // the active pump. Either way this critical section is the last
@@ -593,7 +595,7 @@ void GraphExecutor::adopt_unit(NodeId id,
     run.unit = unit;
     ++inflight_;
     ++submitted_count_;
-    node_of_[unit.get()] = id;
+    index_unit_locked(id, *unit);
   }
   const UnitSink& sink = graph_.node(id).sink;
   if (sink) sink(unit);
@@ -606,15 +608,27 @@ void GraphExecutor::adopt_unit(NodeId id,
   }
 }
 
+void GraphExecutor::index_unit_locked(NodeId id,
+                                      const pilot::ComputeUnit& unit) {
+  const std::uint32_t ordinal = unit.ordinal();
+  ENTK_CHECK(ordinal != pilot::ComputeUnit::kNoOrdinal,
+             "unit " + unit.uid() + " has no unit-manager ordinal");
+  if (ordinal >= node_of_.size()) node_of_.resize(ordinal + 1, kNoNode);
+  node_of_[ordinal] = id;
+}
+
 void GraphExecutor::fail_submission(NodeId id, const Status& error) {
   MutexLock lock(mutex_);
   NodeRun& run = runs_[id];
   run.status = NodeStatus::kFailed;
   run.error = error;
   errors_.emplace_back(id, error);
+  // Settles like a failed unit: its groups count it and its dependents
+  // are skipped, so the rest of its chain cannot stall the graph.
+  settle_into_groups_locked(id, false);
+  queue_dependent_skips_locked(id);
   bool stage_scoped = false;
   for (const GroupId gid : graph_.node(id).groups) {
-    ++group_runs_[gid].settled;
     if (graph_.group(gid).kind == GroupKind::kStage) stage_scoped = true;
   }
   // A task that cannot even be created inside a barrier stage fails
@@ -842,7 +856,7 @@ void GraphExecutor::restore_state(const SavedState& saved,
       run.unit = resolve(node.unit_uid);
       ENTK_CHECK(run.unit != nullptr,
                  "checkpoint references unknown unit " + node.unit_uid);
-      node_of_[run.unit.get()] = id;
+      index_unit_locked(id, *run.unit);
     }
   }
   for (GroupId gid = 0; gid < group_runs_.size(); ++gid) {

@@ -31,7 +31,6 @@
 
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.hpp"
@@ -224,6 +223,9 @@ class GraphExecutor {
                     std::vector<TaskSpec>& specs) ENTK_EXCLUDES(mutex_);
   void adopt_unit(NodeId id, const pilot::ComputeUnitPtr& unit)
       ENTK_EXCLUDES(mutex_);
+  /// Records that `unit` runs node `id` (node_of_).
+  void index_unit_locked(NodeId id, const pilot::ComputeUnit& unit)
+      ENTK_REQUIRES(mutex_);
   void fail_submission(NodeId id, const Status& error)
       ENTK_EXCLUDES(mutex_);
   Status decide_chain_sets() ENTK_EXCLUDES(mutex_);
@@ -271,8 +273,10 @@ class GraphExecutor {
   /// the checkpoint replay script for adaptive graph growth.
   std::vector<std::pair<std::size_t, bool>> expander_log_
       ENTK_GUARDED_BY(mutex_);
-  std::unordered_map<const pilot::ComputeUnit*, NodeId> node_of_
-      ENTK_GUARDED_BY(mutex_);
+  /// Node of each adopted unit, indexed by ComputeUnit::ordinal();
+  /// kNoNode where the ordinal is not one of this graph's units.
+  static constexpr NodeId kNoNode = static_cast<NodeId>(-1);
+  std::vector<NodeId> node_of_ ENTK_GUARDED_BY(mutex_);
   std::deque<Event> events_ ENTK_GUARDED_BY(mutex_);
   /// Chronological (node, error) records for chain-set verdicts.
   std::vector<std::pair<NodeId, Status>> errors_ ENTK_GUARDED_BY(mutex_);

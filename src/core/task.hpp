@@ -25,6 +25,10 @@ struct TaskSpec {
   /// Test hook: first execution hangs forever; only
   /// retry.execution_timeout reclaims the cores.
   bool inject_hang = false;
+
+  /// Equal specs translate to equal unit descriptions, so the execution
+  /// plugin binds a run of equal specs once and shares the result.
+  bool operator==(const TaskSpec& other) const = default;
 };
 
 }  // namespace entk::core

@@ -32,7 +32,13 @@ struct BoundKernel {
   Count cores = 1;
   bool uses_mpi = false;
   Duration estimated_duration = 0.0;  ///< Cost model on this machine.
-  pilot::UnitPayload payload;         ///< Real work (local backend).
+  /// Real work (local backend). The execution plugin binds a run of
+  /// equal TaskSpecs once and every unit of the run shares this
+  /// payload, so LocalAgent workers may call it concurrently: it must
+  /// be safe to call from several threads at once. Capturing by value
+  /// and writing only into the given sandbox, as the builtin kernels
+  /// do, is.
+  pilot::UnitPayload payload;
   std::vector<pilot::StagingDirective> input_staging;
   std::vector<pilot::StagingDirective> output_staging;
 };

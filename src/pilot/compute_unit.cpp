@@ -5,21 +5,24 @@
 
 namespace entk::pilot {
 
-ComputeUnit::ComputeUnit(std::string uid, UnitDescription description,
+ComputeUnit::ComputeUnit(std::string uid, SharedUnitDescription description,
                          const Clock& clock)
-    : uid_(std::move(uid)),
-      description_(std::move(description)),
-      clock_(clock),
-      trace_flow_(obs::trace_flow_id(uid_)),
-      session_ordinal_(obs::session_ordinal(description_.session)) {}
+    : ComputeUnit(std::move(uid), description, clock,
+                  obs::session_ordinal(description->session), kNoOrdinal,
+                  nullptr) {}
 
-ComputeUnit::ComputeUnit(std::string uid, UnitDescription description,
-                         const Clock& clock, std::uint32_t session_ordinal)
+ComputeUnit::ComputeUnit(std::string uid, SharedUnitDescription description,
+                         const Clock& clock, std::uint32_t session_ordinal,
+                         std::uint32_t ordinal, Listener listener)
     : uid_(std::move(uid)),
       description_(std::move(description)),
       clock_(clock),
       trace_flow_(obs::trace_flow_id(uid_)),
-      session_ordinal_(session_ordinal) {}
+      session_ordinal_(session_ordinal),
+      ordinal_(ordinal),
+      listener_(std::move(listener)) {
+  ENTK_CHECK(description_ != nullptr, "unit " + uid_ + " has no description");
+}
 
 UnitState ComputeUnit::state() const {
   MutexLock lock(mutex_);
@@ -68,29 +71,7 @@ Duration ComputeUnit::execution_time() const {
   return exec_stopped_at_ - exec_started_at_;
 }
 
-void ComputeUnit::on_state_change(Callback callback) {
-  MutexLock lock(mutex_);
-  // A settled unit can never transition again, so the callback could
-  // never fire; retaining it would only keep its captures (often other
-  // units) alive in a reference cycle.
-  if (settled_locked()) return;
-  callbacks_.push_back(std::move(callback));
-}
-
-bool ComputeUnit::settled_locked() const {
-  switch (state_) {
-    case UnitState::kDone:
-    case UnitState::kCanceled:
-      return true;
-    case UnitState::kFailed:
-      return retries_ >= description_.retry.max_retries;
-    default:
-      return false;
-  }
-}
-
 Status ComputeUnit::advance_state(UnitState to, Status failure) {
-  std::vector<Callback> callbacks;
   {
     MutexLock lock(mutex_);
     if (!is_valid_transition(state_, to)) {
@@ -146,15 +127,11 @@ Status ComputeUnit::advance_state(UnitState to, Status failure) {
                                        "unit " + uid_ + " failed")
                           : failure;
     }
-    callbacks = callbacks_;
-    // Settling is the last transition this unit will ever make: drop
-    // the observer list so callback captures (frequently shared_ptrs
-    // to sibling units, as in exchange chains) cannot form
-    // unreclaimable reference cycles between units.
-    if (settled_locked()) callbacks_.clear();
   }
   ENTK_DEBUG("pilot.unit") << uid_ << " -> " << unit_state_name(to);
-  for (const auto& callback : callbacks) callback(*this, to);
+  // Outside the lock: the listener re-enters the unit and its manager.
+  // listener_ is const and the unit owns its reference, so no copy.
+  if (listener_ != nullptr) (*listener_)(*this, to);
   return Status::ok();
 }
 

@@ -12,7 +12,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/clock.hpp"
 #include "common/mutex.hpp"
@@ -25,17 +24,31 @@ namespace entk::pilot {
 class ComputeUnit {
  public:
   using Callback = std::function<void(ComputeUnit&, UnitState)>;
+  /// The unit's one state listener, shared by every unit of its
+  /// manager: a transition calls through it, nothing is copied.
+  using Listener = std::shared_ptr<const Callback>;
+  /// ordinal() of a unit no UnitManager created.
+  static constexpr std::uint32_t kNoOrdinal = 0xffffffffu;
 
-  /// Interns description.session to find the trace ordinal.
-  ComputeUnit(std::string uid, UnitDescription description,
+  /// An unmanaged unit (tests, tools): interns description->session to
+  /// find the trace ordinal; no ordinal, no listener.
+  ComputeUnit(std::string uid, SharedUnitDescription description,
               const Clock& clock);
-  /// Takes the owning session's already-interned trace ordinal (the
-  /// unit-manager path: no per-unit name lookup).
-  ComputeUnit(std::string uid, UnitDescription description,
-              const Clock& clock, std::uint32_t session_ordinal);
+  /// A managed unit (UnitManager only): the session's already-interned
+  /// trace ordinal, the manager's dense ordinal and its listener.
+  ComputeUnit(std::string uid, SharedUnitDescription description,
+              const Clock& clock, std::uint32_t session_ordinal,
+              std::uint32_t ordinal, Listener listener);
 
   const std::string& uid() const { return uid_; }
-  const UnitDescription& description() const { return description_; }
+  const UnitDescription& description() const { return *description_; }
+  const SharedUnitDescription& shared_description() const {
+    return description_;
+  }
+
+  /// Dense per-manager index assigned at submit (or restore); lets the
+  /// manager and the graph executor keep per-unit state in vectors.
+  std::uint32_t ordinal() const { return ordinal_; }
 
   /// Stable trace identity (obs::trace_flow_id of the uid), computed
   /// once so hot-path instrumentation never re-hashes the uid.
@@ -71,8 +84,6 @@ class ComputeUnit {
   /// unit never executed.
   Duration execution_time() const ENTK_EXCLUDES(mutex_);
 
-  void on_state_change(Callback callback) ENTK_EXCLUDES(mutex_);
-
   // --- runtime interface (agents and unit managers only) ---
   Status advance_state(UnitState to, Status failure = Status::ok())
       ENTK_EXCLUDES(mutex_);
@@ -83,7 +94,8 @@ class ComputeUnit {
   Status reset_for_retry() ENTK_EXCLUDES(mutex_);
 
   // --- checkpoint/restart (ckpt::Coordinator only) ---
-  /// All mutable state apart from callbacks (re-wired on restore).
+  /// All mutable state (UnitManager::restore_unit gives the restored
+  /// unit its listener).
   struct SavedState {
     UnitState state = UnitState::kNew;
     Status final_status;
@@ -101,15 +113,13 @@ class ComputeUnit {
   void restore_state(const SavedState& saved) ENTK_EXCLUDES(mutex_);
 
  private:
-  /// Terminal with no retry budget left: no further transition (and
-  /// therefore no callback) is possible.
-  bool settled_locked() const ENTK_REQUIRES(mutex_);
-
   const std::string uid_;
-  const UnitDescription description_;
+  const SharedUnitDescription description_;
   const Clock& clock_;
   const std::uint64_t trace_flow_;
   const std::uint32_t session_ordinal_;
+  const std::uint32_t ordinal_;
+  const Listener listener_;
 
   mutable Mutex mutex_{LockRank::kComputeUnit};
   UnitState state_ ENTK_GUARDED_BY(mutex_) = UnitState::kNew;
@@ -121,7 +131,6 @@ class ComputeUnit {
   TimePoint exec_started_at_ ENTK_GUARDED_BY(mutex_) = kNoTime;
   TimePoint exec_stopped_at_ ENTK_GUARDED_BY(mutex_) = kNoTime;
   TimePoint finished_at_ ENTK_GUARDED_BY(mutex_) = kNoTime;
-  std::vector<Callback> callbacks_ ENTK_GUARDED_BY(mutex_);
 };
 
 using ComputeUnitPtr = std::shared_ptr<ComputeUnit>;

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,13 +60,16 @@ struct UnitDescription {
   std::map<std::string, std::string> environment;
   Count cores = 1;                  ///< Cores (MPI ranks) required.
   bool uses_mpi = false;            ///< Multi-core MPI launch.
-  /// Owning session; "" = legacy unnamed. Stamped by the UnitManager
-  /// on submission — callers never set it by hand.
+  /// Owning session; "" = legacy unnamed. Stamped by the execution
+  /// plugin at translation; the UnitManager rejects a description
+  /// stamped for another session.
   std::string session;
   std::vector<StagingDirective> input_staging;
   std::vector<StagingDirective> output_staging;
 
-  /// Real work for the local backend.
+  /// Real work for the local backend. Every unit of an equal TaskSpec
+  /// shares one description, so local-agent workers may call the same
+  /// payload concurrently (see kernels::BoundKernel::payload).
   UnitPayload payload;
   /// Core occupancy time for the simulated backend.
   Duration simulated_duration = 0.0;
@@ -80,5 +84,8 @@ struct UnitDescription {
 
   Status validate() const;
 };
+
+/// Immutable once built; every unit of an equal TaskSpec shares one.
+using SharedUnitDescription = std::shared_ptr<const UnitDescription>;
 
 }  // namespace entk::pilot

@@ -30,6 +30,8 @@ struct RetryPolicy {
   /// payloads run on uninterruptible threads.
   Duration execution_timeout = 0.0;
 
+  bool operator==(const RetryPolicy& other) const = default;
+
   Status validate() const;
 
   /// Backoff delay before retry number `attempt` (1-based).

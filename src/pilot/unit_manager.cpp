@@ -1,6 +1,7 @@
 #include "pilot/unit_manager.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
@@ -14,7 +15,13 @@ UnitManager::UnitManager(ExecutionBackend& backend, std::string session)
       session_(std::move(session)),
       session_ordinal_(obs::session_ordinal(session_)),
       unit_uids_(session_uid_family(session_, "unit")),
-      gate_(std::make_shared<CallbackGate>()) {
+      gate_(std::make_shared<CallbackGate>()),
+      listener_(std::make_shared<const ComputeUnit::Callback>(
+          [this, gate = gate_](ComputeUnit& changed, UnitState state) {
+            if (!gate->enter()) return;
+            handle_state_change(changed, state);
+            gate->exit();
+          })) {
   if (!session_.empty()) {
     // Session-labelled counters in the shared registry.
     // entk-lint: allow(global-run-state)
@@ -54,37 +61,46 @@ void UnitManager::add_pilot(PilotPtr pilot) {
 }
 
 Result<std::vector<ComputeUnitPtr>> UnitManager::submit_units(
-    std::vector<UnitDescription> descriptions) {
+    const std::vector<SharedUnitDescription>& descriptions) {
+  // Check every distinct description before creating anything; a run
+  // of units sharing one is checked once.
+  const UnitDescription* checked = nullptr;
+  for (const auto& description : descriptions) {
+    if (description == nullptr) {
+      return make_error(Errc::kInvalidArgument, "null unit description");
+    }
+    if (description.get() == checked) continue;
+    ENTK_RETURN_IF_ERROR(description->validate());
+    if (description->session != session_) {
+      return make_error(Errc::kInvalidArgument,
+                        "unit '" + description->name +
+                            "' is stamped for session '" +
+                            description->session + "', not '" + session_ +
+                            "'");
+    }
+    checked = description.get();
+  }
   std::vector<ComputeUnitPtr> units;
   units.reserve(descriptions.size());
-  for (auto& description : descriptions) {
-    ENTK_RETURN_IF_ERROR(description.validate());
-    description.session = session_;
-    auto unit = std::make_shared<ComputeUnit>(
-        unit_uids_.next(), std::move(description), backend_.clock(),
-        session_ordinal_);
-    unit->stamp_created();
-    ENTK_TRACE_INSTANT_FLOW_S("unit.created", "unit", unit->trace_flow(),
-                              0, session_ordinal_);
-    ENTK_CHECK(unit->advance_state(UnitState::kPendingExecution).is_ok(),
-               "fresh unit");
-    std::shared_ptr<CallbackGate> gate = gate_;
-    unit->on_state_change(
-        [this, gate](ComputeUnit& changed, UnitState state) {
-          if (!gate->enter()) return;
-          handle_state_change(changed, state);
-          gate->exit();
-        });
-    units.push_back(std::move(unit));
-  }
   {
+    // Created under the lock so each ordinal is its entry's index. The
+    // listener's kPendingExecution call returns without locking.
     MutexLock lock(mutex_);
-    for (const auto& unit : units) {
-      entries_.emplace(unit.get(), Entry{unit, false});
+    for (const auto& description : descriptions) {
+      auto unit = std::make_shared<ComputeUnit>(
+          unit_uids_.next(), description, backend_.clock(),
+          session_ordinal_, static_cast<std::uint32_t>(entries_.size()),
+          listener_);
+      unit->stamp_created();
+      ENTK_TRACE_INSTANT_FLOW_S("unit.created", "unit", unit->trace_flow(),
+                                0, session_ordinal_);
+      ENTK_CHECK(unit->advance_state(UnitState::kPendingExecution).is_ok(),
+                 "fresh unit");
+      add_entry_locked(unit, false, false);
       unrouted_.push_back(unit);
+      units.push_back(std::move(unit));
     }
     total_units_ += units.size();
-    inflight_ += units.size();
   }
   // Aggregate metrics by design. entk-lint: allow(global-run-state)
   obs::Metrics::instance()
@@ -167,9 +183,9 @@ void UnitManager::handle_state_change(ComputeUnit& unit, UnitState state) {
   ComputeUnitPtr retry;
   {
     MutexLock lock(mutex_);
-    const auto it = entries_.find(&unit);
-    if (it == entries_.end()) return;  // not managed here
-    if (unit.retries() < policy.max_retries) retry = it->second.unit;
+    const Entry* entry = find_entry_locked(unit);
+    if (entry == nullptr) return;  // not managed here
+    if (unit.retries() < policy.max_retries) retry = entry->unit;
   }
   if (retry == nullptr) {  // retry budget exhausted: final failure
     settle_and_notify(unit, UnitState::kFailed);
@@ -217,7 +233,7 @@ void UnitManager::handle_state_change(ComputeUnit& unit, UnitState state) {
 
 void UnitManager::schedule_retry_requeue(ComputeUnitPtr retry,
                                          Duration delay) {
-  const ComputeUnit* key = retry.get();
+  const ComputeUnit& key = *retry;
   // The timer lives in the backend's engine, which outlives this
   // manager — gate the expiry so a timer firing after teardown no-ops.
   std::shared_ptr<CallbackGate> gate = gate_;
@@ -227,12 +243,14 @@ void UnitManager::schedule_retry_requeue(ComputeUnitPtr retry,
         bool requeued = false;
         {
           MutexLock lock(mutex_);
-          retry_timers_.erase(retry.get());
-          const auto it = entries_.find(retry.get());
-          if (it != entries_.end() && !it->second.settled &&
-              retry->state() == UnitState::kPendingExecution) {
-            unrouted_.push_back(retry);
-            requeued = true;
+          Entry* entry = find_entry_locked(*retry);
+          if (entry != nullptr) {
+            entry->retry_timer = 0;
+            if (!entry->settled &&
+                retry->state() == UnitState::kPendingExecution) {
+              unrouted_.push_back(retry);
+              requeued = true;
+            }
           }
         }
         if (requeued) route_pending();
@@ -243,7 +261,7 @@ void UnitManager::schedule_retry_requeue(ComputeUnitPtr retry,
   // thread, so tracking after the call cannot miss the event.
   if (token != 0) {
     MutexLock lock(mutex_);
-    retry_timers_[key] = token;
+    if (Entry* entry = find_entry_locked(key)) entry->retry_timer = token;
   }
 }
 
@@ -252,12 +270,12 @@ void UnitManager::settle_and_notify(ComputeUnit& unit, UnitState state) {
   std::shared_ptr<const ObserverList> observers;
   {
     MutexLock lock(mutex_);
-    const auto it = entries_.find(&unit);
-    if (it == entries_.end()) return;  // not managed here
-    mark_settled_locked(it->second);
-    if (it->second.notified) return;  // already reported
-    it->second.notified = true;
-    settled = it->second.unit;
+    Entry* entry = find_entry_locked(unit);
+    if (entry == nullptr) return;  // not managed here
+    mark_settled_locked(*entry);
+    if (entry->notified) return;  // already reported
+    entry->notified = true;
+    settled = entry->unit;
     // Snapshot by refcount, not by copy: the list is immutable (adds
     // and removes swap in a fresh one), so it stays valid — and any
     // observer registered mid-settle simply misses this unit, the same
@@ -346,8 +364,8 @@ void UnitManager::recover_from_pilot(Pilot& pilot) {
   {
     MutexLock lock(mutex_);
     for (auto& unit : stranded) {
-      const auto it = entries_.find(unit.get());
-      if (it == entries_.end() || it->second.settled) continue;
+      const Entry* entry = find_entry_locked(*unit);
+      if (entry == nullptr || entry->settled) continue;
       unrouted_.push_back(std::move(unit));
       ++requeued;
     }
@@ -395,20 +413,15 @@ Status UnitManager::cancel_unit(const ComputeUnitPtr& unit) {
 }
 
 Status UnitManager::drain(Duration timeout) {
+  // Cancelled in ordinal (submission) order: teardown is deterministic.
   std::vector<ComputeUnitPtr> open;
   {
     MutexLock lock(mutex_);
-    for (const auto& [key, entry] : entries_) {
+    for (const Entry& entry : entries_) {
       if (!entry.settled) open.push_back(entry.unit);
     }
   }
   if (open.empty()) return Status::ok();
-  // entries_ iteration order is unordered; cancel in uid order so
-  // teardown is deterministic.
-  std::sort(open.begin(), open.end(),
-            [](const ComputeUnitPtr& a, const ComputeUnitPtr& b) {
-              return a->uid() < b->uid();
-            });
   for (const ComputeUnitPtr& unit : open) {
     const Status cancelled = cancel_unit(unit);
     if (cancelled.is_ok() ||
@@ -422,10 +435,10 @@ Status UnitManager::drain(Duration timeout) {
     bool was_held = false;
     {
       MutexLock lock(mutex_);
-      const auto it = entries_.find(unit.get());
-      if (it != entries_.end() && !it->second.settled) {
-        mark_settled_locked(it->second);
-        retry_timers_.erase(unit.get());
+      Entry* entry = find_entry_locked(*unit);
+      if (entry != nullptr && !entry->settled) {
+        mark_settled_locked(*entry);
+        entry->retry_timer = 0;
         was_held = true;
       }
     }
@@ -449,10 +462,33 @@ Status UnitManager::wait_units(const std::vector<ComputeUnitPtr>& units,
       timeout);
 }
 
+UnitManager::Entry* UnitManager::find_entry_locked(const ComputeUnit& unit) {
+  const std::uint32_t ordinal = unit.ordinal();
+  if (ordinal >= entries_.size()) return nullptr;
+  Entry& entry = entries_[ordinal];
+  return entry.unit.get() == &unit ? &entry : nullptr;
+}
+
+const UnitManager::Entry* UnitManager::find_entry_locked(
+    const ComputeUnit& unit) const {
+  const std::uint32_t ordinal = unit.ordinal();
+  if (ordinal >= entries_.size()) return nullptr;
+  const Entry& entry = entries_[ordinal];
+  return entry.unit.get() == &unit ? &entry : nullptr;
+}
+
+void UnitManager::add_entry_locked(ComputeUnitPtr unit, bool settled,
+                                   bool notified) {
+  ENTK_CHECK(unit->ordinal() == entries_.size(),
+             "unit " + unit->uid() + " has a foreign ordinal");
+  if (!settled) ++inflight_;
+  entries_.push_back(Entry{std::move(unit), 0, settled, notified});
+}
+
 bool UnitManager::settled_locked(const ComputeUnit& unit) const {
-  const auto it = entries_.find(&unit);
-  if (it == entries_.end()) return is_final(unit.state());
-  return it->second.settled;
+  const Entry* entry = find_entry_locked(unit);
+  if (entry == nullptr) return is_final(unit.state());
+  return entry->settled;
 }
 
 void UnitManager::mark_settled_locked(Entry& entry) {
@@ -462,9 +498,9 @@ void UnitManager::mark_settled_locked(Entry& entry) {
 }
 
 void UnitManager::mark_settled_locked(const ComputeUnit& unit) {
-  const auto it = entries_.find(&unit);
-  ENTK_CHECK(it != entries_.end(), "settling unmanaged unit " + unit.uid());
-  mark_settled_locked(it->second);
+  Entry* entry = find_entry_locked(unit);
+  ENTK_CHECK(entry != nullptr, "settling unmanaged unit " + unit.uid());
+  mark_settled_locked(*entry);
 }
 
 bool UnitManager::is_settled(const ComputeUnit& unit) const {
@@ -525,24 +561,20 @@ void UnitManager::restore_state(const SavedState& saved,
   }
 }
 
-void UnitManager::restore_unit(const ComputeUnitPtr& unit, bool settled,
-                               bool notified) {
-  ENTK_CHECK(unit != nullptr, "cannot restore a null unit");
-  {
-    MutexLock lock(mutex_);
-    const bool inserted =
-        entries_.emplace(unit.get(), Entry{unit, settled, notified}).second;
-    if (inserted && !settled) ++inflight_;
-  }
-  // Settled units refuse the callback (they can never transition
-  // again); everything else re-enters the normal retry/settle flow.
-  std::shared_ptr<CallbackGate> gate = gate_;
-  unit->on_state_change(
-      [this, gate](ComputeUnit& changed, UnitState state) {
-        if (!gate->enter()) return;
-        handle_state_change(changed, state);
-        gate->exit();
-      });
+ComputeUnitPtr UnitManager::restore_unit(std::string uid,
+                                         SharedUnitDescription description,
+                                         const ComputeUnit::SavedState& state,
+                                         bool settled, bool notified) {
+  ENTK_CHECK(description != nullptr, "cannot restore unit " + uid +
+                                         " without a description");
+  MutexLock lock(mutex_);
+  auto unit = std::make_shared<ComputeUnit>(
+      std::move(uid), std::move(description), backend_.clock(),
+      session_ordinal_, static_cast<std::uint32_t>(entries_.size()),
+      listener_);
+  unit->restore_state(state);
+  add_entry_locked(unit, settled, notified);
+  return unit;
 }
 
 std::size_t UnitManager::unit_entries(
@@ -552,9 +584,9 @@ std::size_t UnitManager::unit_entries(
   flags.reserve(units.size());
   MutexLock lock(mutex_);
   for (const auto& unit : units) {
-    const auto it = entries_.find(unit.get());
-    if (it == entries_.end()) return flags.size();
-    flags.push_back({it->second.settled, it->second.notified});
+    const Entry* entry = find_entry_locked(*unit);
+    if (entry == nullptr) return flags.size();
+    flags.push_back({entry->settled, entry->notified});
   }
   return flags.size();
 }
@@ -562,19 +594,10 @@ std::size_t UnitManager::unit_entries(
 std::vector<std::pair<ComputeUnitPtr, std::uint64_t>>
 UnitManager::pending_retries() const {
   std::vector<std::pair<ComputeUnitPtr, std::uint64_t>> out;
-  {
-    MutexLock lock(mutex_);
-    out.reserve(retry_timers_.size());
-    for (const auto& [key, token] : retry_timers_) {
-      const auto it = entries_.find(key);
-      if (it == entries_.end()) continue;
-      out.emplace_back(it->second.unit, token);
-    }
+  MutexLock lock(mutex_);
+  for (const Entry& entry : entries_) {
+    if (entry.retry_timer != 0) out.emplace_back(entry.unit, entry.retry_timer);
   }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) {
-              return a.first->uid() < b.first->uid();
-            });
   return out;
 }
 

@@ -19,7 +19,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -113,10 +112,14 @@ class UnitManager {
   /// round-robin over active pilots.
   void add_pilot(PilotPtr pilot);
 
-  /// Creates units from descriptions and routes them. Returned units
-  /// are kPendingExecution (or already kFailed if oversized).
+  /// Creates one unit per description and routes them. Units may
+  /// share a description (equal specs translate once). Every
+  /// description must be valid and stamped with this manager's
+  /// session; otherwise nothing is created. Returned units are
+  /// kPendingExecution (or already kFailed if oversized).
   Result<std::vector<ComputeUnitPtr>> submit_units(
-      std::vector<UnitDescription> descriptions);
+      const std::vector<SharedUnitDescription>& descriptions)
+      ENTK_EXCLUDES(mutex_);
 
   /// Drives the backend until every given unit is settled: done,
   /// cancelled, or failed with retries exhausted.
@@ -184,10 +187,14 @@ class UnitManager {
   /// after every unit has been re-registered via restore_unit().
   void restore_state(const SavedState& saved, const UnitResolver& resolve)
       ENTK_EXCLUDES(mutex_);
-  /// Registers a restored unit (entry bookkeeping + state-change
-  /// wiring) without counting it as a new submission.
-  void restore_unit(const ComputeUnitPtr& unit, bool settled,
-                    bool notified) ENTK_EXCLUDES(mutex_);
+  /// Recreates a captured unit around its (adopted, not copied)
+  /// description, with the next ordinal and this manager's listener,
+  /// without counting it as a new submission.
+  ComputeUnitPtr restore_unit(std::string uid,
+                              SharedUnitDescription description,
+                              const ComputeUnit::SavedState& state,
+                              bool settled, bool notified)
+      ENTK_EXCLUDES(mutex_);
   struct EntryFlags {
     bool settled = false;
     bool notified = false;  ///< Settled observers already fired.
@@ -199,7 +206,7 @@ class UnitManager {
                            std::vector<EntryFlags>& flags) const
       ENTK_EXCLUDES(mutex_);
   /// Pending retry-backoff timers with their backend timer tokens
-  /// (sim EventIds), sorted by unit uid for determinism.
+  /// (sim EventIds), in ordinal (submission) order.
   std::vector<std::pair<ComputeUnitPtr, std::uint64_t>> pending_retries()
       const ENTK_EXCLUDES(mutex_);
   /// Re-schedules a captured retry-backoff requeue after `delay`.
@@ -207,12 +214,24 @@ class UnitManager {
       ENTK_EXCLUDES(mutex_);
 
  private:
+  /// The one per-unit record, at entries_[unit.ordinal()].
   struct Entry {
     ComputeUnitPtr unit;
+    /// Backend token of an in-flight retry-backoff timer (0 = none or
+    /// not introspectable); stale tokens are filtered against the
+    /// engine at capture time.
+    std::uint64_t retry_timer = 0;
     bool settled = false;
     bool notified = false;  ///< Settled observers already fired.
   };
 
+  /// The entry of `unit`, or nullptr when another manager made it.
+  Entry* find_entry_locked(const ComputeUnit& unit) ENTK_REQUIRES(mutex_);
+  const Entry* find_entry_locked(const ComputeUnit& unit) const
+      ENTK_REQUIRES(mutex_);
+  /// Appends the entry for a unit created with ordinal entries_.size().
+  void add_entry_locked(ComputeUnitPtr unit, bool settled, bool notified)
+      ENTK_REQUIRES(mutex_);
   bool settled_locked(const ComputeUnit& unit) const ENTK_REQUIRES(mutex_);
   /// The one place an entry turns settled (and inflight_ drops).
   void mark_settled_locked(Entry& entry) ENTK_REQUIRES(mutex_);
@@ -248,6 +267,8 @@ class UnitManager {
   /// Shared with every callback this manager registers on pilots,
   /// units and backend timers; closed (and drained) on destruction.
   const std::shared_ptr<CallbackGate> gate_;
+  /// Every unit's one state listener (gated handle_state_change).
+  const ComputeUnit::Listener listener_;
   /// Per-session dynamic metric counters; nullptr for unnamed
   /// managers. Resolved once — obs::Metrics map nodes are stable.
   obs::Counter* session_done_ = nullptr;
@@ -260,8 +281,8 @@ class UnitManager {
   std::vector<PilotPtr> pilots_ ENTK_GUARDED_BY(mutex_);
   std::size_t next_pilot_ ENTK_GUARDED_BY(mutex_) = 0;  // round-robin cursor
   std::deque<ComputeUnitPtr> unrouted_ ENTK_GUARDED_BY(mutex_);
-  std::unordered_map<const ComputeUnit*, Entry> entries_
-      ENTK_GUARDED_BY(mutex_);
+  /// Indexed by ComputeUnit::ordinal(), in submission order.
+  std::vector<Entry> entries_ ENTK_GUARDED_BY(mutex_);
   std::size_t total_units_ ENTK_GUARDED_BY(mutex_) = 0;
   /// Entries not yet settled (inflight_units()).
   std::size_t inflight_ ENTK_GUARDED_BY(mutex_) = 0;
@@ -275,11 +296,6 @@ class UnitManager {
   std::shared_ptr<const ObserverList> observers_ ENTK_GUARDED_BY(mutex_);
   std::size_t next_observer_token_ ENTK_GUARDED_BY(mutex_) = 0;
   Xoshiro256 retry_rng_ ENTK_GUARDED_BY(mutex_){0x7e7c1ULL};
-  /// Backend timer tokens of in-flight retry backoffs (checkpointing);
-  /// entries are dropped when the timer fires, stale tokens are
-  /// filtered against the engine at capture time.
-  std::unordered_map<const ComputeUnit*, std::uint64_t> retry_timers_
-      ENTK_GUARDED_BY(mutex_);
 };
 
 }  // namespace entk::pilot

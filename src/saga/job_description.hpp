@@ -32,6 +32,9 @@ struct JobDescription {
   Duration wall_time_limit = 3600; ///< Seconds before forcible end.
   std::string queue;               ///< Batch queue/partition name.
   std::string project;             ///< Allocation/project to charge.
+  /// Owning session: the job uid draws from its "<session>.job"
+  /// family; "" = legacy unnamed (the "job" family).
+  std::string session;
 
   // --- execution-backend hooks ---
   /// In-process work for the local adaptor; may be empty for container

@@ -46,8 +46,9 @@ Result<JobPtr> LocalAdaptor::submit(JobDescription description) {
                           std::to_string(description.total_cpu_count) +
                           " cores; local host has " + std::to_string(cores_));
   }
+  std::string uid = next_uid(session_uid_family(description.session, "job"));
   auto job =
-      std::make_shared<Job>(next_uid("job"), std::move(description), clock_);
+      std::make_shared<Job>(std::move(uid), std::move(description), clock_);
   ENTK_CHECK(job->advance_state(JobState::kPending).is_ok(), "fresh job");
   std::vector<JobPtr> started;
   {

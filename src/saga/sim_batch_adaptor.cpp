@@ -16,7 +16,8 @@ Result<JobPtr> SimBatchAdaptor::submit(JobDescription description) {
   obs::Metrics::instance()
       .counter(obs::WellKnownCounter::kSagaJobsSubmitted)
       .add();
-  auto job = std::make_shared<Job>(next_uid("job"), std::move(description),
+  std::string uid = next_uid(session_uid_family(description.session, "job"));
+  auto job = std::make_shared<Job>(std::move(uid), std::move(description),
                                    engine_.clock());
 
   sim::BatchJobRequest request;

@@ -9,6 +9,7 @@
 #include "pilot/agent.hpp"
 #include "pilot/pilot_manager.hpp"
 #include "pilot/unit_manager.hpp"
+#include "unit_test_util.hpp"
 
 namespace entk {
 namespace {
@@ -44,7 +45,8 @@ TEST_F(CancelUnitTest, CancelWaitingUnitFreesNothing) {
   auto pilot = make_active_pilot(1);
   pilot::UnitManager units(backend_);
   units.add_pilot(pilot);
-  auto submitted = units.submit_units({sim_unit(100.0), sim_unit(100.0)});
+  auto submitted = submit_descriptions(
+      units, {sim_unit(100.0), sim_unit(100.0)});
   ASSERT_TRUE(submitted.ok());
   // Drive until the first is executing; the second waits.
   ASSERT_TRUE(backend_
@@ -64,7 +66,8 @@ TEST_F(CancelUnitTest, KillExecutingUnitReclaimsCores) {
   auto pilot = make_active_pilot(1);
   pilot::UnitManager units(backend_);
   units.add_pilot(pilot);
-  auto submitted = units.submit_units({sim_unit(1000.0), sim_unit(5.0)});
+  auto submitted = submit_descriptions(
+      units, {sim_unit(1000.0), sim_unit(5.0)});
   ASSERT_TRUE(submitted.ok());
   ASSERT_TRUE(backend_
                   .drive_until([&] {
@@ -87,12 +90,12 @@ TEST_F(CancelUnitTest, KillReplacePattern) {
   auto pilot = make_active_pilot(2);
   pilot::UnitManager units(backend_);
   units.add_pilot(pilot);
-  auto first = units.submit_units({sim_unit(10.0), sim_unit(10000.0)});
+  auto first = submit_descriptions(units, {sim_unit(10.0), sim_unit(10000.0)});
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(units.wait_units({first.value()[0]}).is_ok());
   // The straggler is still going; kill and replace it.
   ASSERT_TRUE(units.cancel_unit(first.value()[1]).is_ok());
-  auto replacement = units.submit_units({sim_unit(10.0)});
+  auto replacement = submit_descriptions(units, {sim_unit(10.0)});
   ASSERT_TRUE(replacement.ok());
   ASSERT_TRUE(units.wait_units(replacement.value()).is_ok());
   EXPECT_EQ(replacement.value()[0]->state(), pilot::UnitState::kDone);
@@ -105,7 +108,7 @@ TEST_F(CancelUnitTest, CancelUnknownUnitFails) {
   units.add_pilot(pilot);
   WallClock clock;
   auto stranger = std::make_shared<pilot::ComputeUnit>(
-      "unit.stranger", sim_unit(1.0), clock);
+      "unit.stranger", pilot::share_description(sim_unit(1.0)), clock);
   EXPECT_EQ(units.cancel_unit(stranger).code(), Errc::kNotFound);
 }
 
@@ -119,7 +122,7 @@ TEST_F(CancelUnitTest, CancelUnroutedUnit) {
   ASSERT_TRUE(pilot.ok());
   pilot::UnitManager units(backend_);
   units.add_pilot(pilot.value());
-  auto submitted = units.submit_units({sim_unit(5.0)});
+  auto submitted = submit_descriptions(units, {sim_unit(5.0)});
   ASSERT_TRUE(submitted.ok());
   ASSERT_EQ(submitted.value()[0]->state(),
             pilot::UnitState::kPendingExecution);

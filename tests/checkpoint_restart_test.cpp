@@ -211,7 +211,9 @@ TEST(CheckpointRestart, FirstSnapshotFileBytesArePinned) {
   // A small seeded bag in a named session, uid counters reset: the
   // snapshot file the coordinator publishes is then a pure function of
   // the run, so its bytes are pinned. Capture and encoding may change
-  // how they are produced, never what they produce.
+  // how they are produced, never what they produce. The file lists the
+  // session's own uid families, "ckpt_golden.job" among them: pilot
+  // job uids are drawn per session.
   const std::string dir = fresh_dir("ckpt_golden");
   reset_uid_counters_for_testing();
   auto registry = kernels::KernelRegistry::with_builtin_kernels();
@@ -242,8 +244,25 @@ TEST(CheckpointRestart, FirstSnapshotFileBytesArePinned) {
   ASSERT_TRUE(in.good());
   const std::string bytes((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>());
-  EXPECT_EQ(bytes.size(), 77505u);
-  EXPECT_EQ(ckpt::fnv1a(bytes), 0x1056c592023931c9ULL);
+  EXPECT_EQ(bytes.size(), 77536u);
+  EXPECT_EQ(ckpt::fnv1a(bytes), 0xfabd68719c7213b2ULL);
+}
+
+TEST(CheckpointRestart, RestoredUnitsAdoptTheirRecordsDescriptions) {
+  const std::string dir = fresh_dir("ckpt_adopt");
+  const ckpt::Snapshot snapshot =
+      run_until_crash(scale_test::scale_workload(200), dir,
+                      /*every_settled=*/50, /*crash_after=*/1);
+  ASSERT_FALSE(snapshot.units.empty());
+  const std::vector<pilot::ComputeUnitPtr> resumed =
+      resume_run(scale_test::scale_workload(200), snapshot, dir);
+  ASSERT_EQ(resumed.size(), 200u);
+  for (std::size_t i = 0; i < snapshot.units.size(); ++i) {
+    EXPECT_EQ(resumed[i]->uid(), snapshot.units[i].uid);
+    EXPECT_EQ(resumed[i]->shared_description().get(),
+              snapshot.units[i].description.get())
+        << resumed[i]->uid();
+  }
 }
 
 /// A named session on its own backend, allocated: its uid families are
@@ -306,10 +325,10 @@ TEST(CheckpointRestart, RestoringAnUnnamedSnapshotLeavesNamedCountersAlone) {
   ASSERT_FALSE(before.empty());
 
   // Reset only the unnamed session's families, so the pilot replay
-  // matches the snapshot while "live" keeps counting. "job" is shared
-  // by every session and the restore rewinds it anyway (see uid.hpp),
-  // so only the "live.*" families are compared below.
-  for (const char* family : {"unit", "pilot", "job"}) {
+  // matches the snapshot while "live" keeps counting; "live.job" is
+  // among the families that must survive the restore.
+  ASSERT_EQ(before.front().first, "live.job");
+  for (const char* family : {"unit", "pilot"}) {
     reset_uid_counters_with_prefix(family);
   }
   Runtime rt;

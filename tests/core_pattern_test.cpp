@@ -325,10 +325,10 @@ TEST_F(CorePatternTest, ExecutionPluginTranslatesSpecs) {
   spec.args.set("cores", 4);
   auto description = plugin.translate(spec);
   ASSERT_TRUE(description.ok()) << description.status().to_string();
-  EXPECT_EQ(description.value().cores, 4);
-  EXPECT_TRUE(description.value().uses_mpi);
-  EXPECT_GT(description.value().simulated_duration, 0.0);
-  EXPECT_EQ(description.value().output_staging.size(), 1u);
+  EXPECT_EQ(description.value()->cores, 4);
+  EXPECT_TRUE(description.value()->uses_mpi);
+  EXPECT_GT(description.value()->simulated_duration, 0.0);
+  EXPECT_EQ(description.value()->output_staging.size(), 1u);
 
   // Core override rescales the cost model linearly.
   TaskSpec serial = spec;
@@ -336,9 +336,9 @@ TEST_F(CorePatternTest, ExecutionPluginTranslatesSpecs) {
   TaskSpec overridden = serial;
   overridden.cores = 4;
   const auto serial_duration =
-      plugin.translate(serial).value().simulated_duration;
+      plugin.translate(serial).value()->simulated_duration;
   const auto overridden_duration =
-      plugin.translate(overridden).value().simulated_duration;
+      plugin.translate(overridden).value()->simulated_duration;
   EXPECT_NEAR(overridden_duration, serial_duration / 4.0, 1e-9);
 }
 

@@ -8,6 +8,7 @@
 #include "pilot/pilot_manager.hpp"
 #include "pilot/unit_manager.hpp"
 #include "sim/engine.hpp"
+#include "unit_test_util.hpp"
 
 namespace entk {
 namespace {
@@ -73,7 +74,7 @@ TEST(LocalPayloadEdge, ThrowingPayloadFailsUnitNotProcess) {
   unit.payload = [](const pilot::UnitRuntimeContext&) -> Status {
     throw std::runtime_error("kaboom");
   };
-  auto submitted = units.submit_units({std::move(unit)});
+  auto submitted = submit_descriptions(units, {std::move(unit)});
   ASSERT_TRUE(submitted.ok());
   ASSERT_TRUE(units.wait_units(submitted.value(), 30.0).is_ok());
   EXPECT_EQ(submitted.value()[0]->state(), pilot::UnitState::kFailed);
@@ -217,7 +218,7 @@ TEST(ResourceHandleEdge, WaitUnitsTimeoutSurfaces) {
   unit.name = "long";
   unit.executable = "x";
   unit.simulated_duration = 1000.0;
-  auto submitted = units.submit_units({std::move(unit)});
+  auto submitted = submit_descriptions(units, {std::move(unit)});
   ASSERT_TRUE(submitted.ok());
   EXPECT_EQ(units.wait_units(submitted.value(), /*timeout=*/10.0).code(),
             Errc::kTimedOut);
@@ -249,7 +250,7 @@ TEST(SimAgentEdge, CancelDuringInputStagingWindow) {
   unit.simulated_duration = 50.0;
   unit.input_staging.push_back(
       {"big.bin", "", pilot::StagingDirective::Action::kCopy, 100.0});
-  auto submitted = units.submit_units({std::move(unit)});
+  auto submitted = submit_descriptions(units, {std::move(unit)});
   ASSERT_TRUE(submitted.ok());
   ASSERT_TRUE(backend
                   .drive_until([&] {
@@ -264,7 +265,7 @@ TEST(SimAgentEdge, CancelDuringInputStagingWindow) {
   follow_up.name = "next";
   follow_up.executable = "x";
   follow_up.simulated_duration = 1.0;
-  auto next = units.submit_units({std::move(follow_up)});
+  auto next = submit_descriptions(units, {std::move(follow_up)});
   ASSERT_TRUE(next.ok());
   ASSERT_TRUE(units.wait_units(next.value()).is_ok());
   EXPECT_EQ(next.value()[0]->state(), pilot::UnitState::kDone);

@@ -22,6 +22,7 @@
 #include "pilot/sim_backend.hpp"
 #include "pilot/unit_manager.hpp"
 #include "scale_test_util.hpp"
+#include "unit_test_util.hpp"
 
 namespace entk::pilot {
 namespace {
@@ -128,8 +129,8 @@ TEST(FaultTolerance, NodeFailureKillsUnitsAndRetryCompletesTheRun) {
   auto description = simple_unit(300.0, 8);
   description.retry.max_retries = 3;
   description.retry.backoff_base = 5.0;
-  auto units = manager.submit_units(
-      {description, description, description, description});
+  auto units = submit_descriptions(
+      manager, {description, description, description, description});
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
 
@@ -157,7 +158,7 @@ TEST(FaultTolerance, TransientLaunchFailureConsumesRetryBudget) {
   manager.add_pilot(pilot);
   auto description = simple_unit(5.0);
   description.retry.max_retries = 2;
-  auto units = manager.submit_units({std::move(description)});
+  auto units = submit_descriptions(manager, {std::move(description)});
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
 
@@ -181,7 +182,7 @@ TEST(FaultTolerance, ExecutionTimeoutKillsHungUnitAndRetrySucceeds) {
   description.simulated_hang = true;  // first attempt never finishes
   description.retry.max_retries = 1;
   description.retry.execution_timeout = 10.0;
-  auto units = manager.submit_units({std::move(description)});
+  auto units = submit_descriptions(manager, {std::move(description)});
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
 
@@ -202,7 +203,7 @@ TEST(FaultTolerance, HungUnitWithoutRetryBudgetFailsWithTimeout) {
   auto description = simple_unit(5.0);
   description.simulated_hang = true;
   description.retry.execution_timeout = 10.0;
-  auto units = manager.submit_units({std::move(description)});
+  auto units = submit_descriptions(manager, {std::move(description)});
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
   EXPECT_EQ(units.value()[0]->state(), UnitState::kFailed);
@@ -223,7 +224,7 @@ TEST(FaultTolerance, HangRateDrawsApplyToEveryAttempt) {
   auto description = simple_unit(5.0);
   description.retry.max_retries = 1;
   description.retry.execution_timeout = 8.0;
-  auto units = manager.submit_units({std::move(description)});
+  auto units = submit_descriptions(manager, {std::move(description)});
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
   EXPECT_EQ(units.value()[0]->state(), UnitState::kFailed);
@@ -243,7 +244,7 @@ TEST(FaultTolerance, RetryWaitsForTheBackoffDelay) {
   description.simulated_fail = true;  // attempt 1 fails at exec end
   description.retry.max_retries = 1;
   description.retry.backoff_base = 50.0;
-  auto units = manager.submit_units({std::move(description)});
+  auto units = submit_descriptions(manager, {std::move(description)});
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
 
@@ -282,7 +283,7 @@ TEST(FaultTolerance, PilotWalltimeExpiryRequeuesUnitsOntoSurvivor) {
   // pilot and serialize there. The short pilot dies at t=50 with its
   // second unit executing; that unit must finish on the survivor.
   std::vector<UnitDescription> descriptions(4, simple_unit(40.0, 8));
-  auto units = manager.submit_units(std::move(descriptions));
+  auto units = submit_descriptions(manager, std::move(descriptions));
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
 
@@ -319,7 +320,7 @@ TraceRun run_faulty_workload(std::uint64_t seed) {
   description.retry.backoff_multiplier = 2.0;
   description.retry.jitter = 0.3;
   std::vector<UnitDescription> descriptions(8, description);
-  auto units = manager.submit_units(std::move(descriptions));
+  auto units = submit_descriptions(manager, std::move(descriptions));
   EXPECT_TRUE(units.ok());
   EXPECT_TRUE(manager.wait_units(units.value()).is_ok());
 
@@ -377,7 +378,7 @@ TEST(FaultTolerance, WaitUnitsFiniteTimeoutExpiresWithoutSettling) {
   auto pilot = make_active_pilot(backend, 4);
   UnitManager manager(backend);
   manager.add_pilot(pilot);
-  auto units = manager.submit_units({simple_unit(1000.0)});
+  auto units = submit_descriptions(manager, {simple_unit(1000.0)});
   ASSERT_TRUE(units.ok());
 
   const TimePoint wait_start = backend.clock().now();
@@ -440,7 +441,7 @@ void run_inflight_sequence(std::uint64_t seed, InflightCoverage& coverage) {
     if (manager.inflight_units() != unsettled()) ++coverage.mismatches;
   };
   const auto submit = [&](UnitDescription description) {
-    auto units = manager.submit_units({std::move(description)});
+    auto units = submit_descriptions(manager, {std::move(description)});
     ASSERT_TRUE(units.ok()) << units.status().to_string();
     submitted.push_back(units.value().front());
   };
@@ -535,20 +536,17 @@ TEST(UnitManagerInflight, RestoreCountsOnlyUnsettledEntries) {
   std::vector<ComputeUnitPtr> restored;
   std::size_t unsettled = 0;
   for (int i = 0; i < 64; ++i) {
-    auto unit = std::make_shared<ComputeUnit>(
-        "restored." + std::to_string(i), simple_unit(10.0),
-        backend.clock());
-    ASSERT_TRUE(unit->advance_state(UnitState::kPendingExecution).is_ok());
+    ComputeUnit::SavedState state;
+    state.state = UnitState::kPendingExecution;
     const bool settled = rng.uniform() < 0.5;
-    manager.restore_unit(unit, settled, settled);
+    ComputeUnitPtr unit = manager.restore_unit(
+        "restored." + std::to_string(i),
+        share_description(simple_unit(10.0)), state, settled, settled);
     if (!settled) ++unsettled;
     EXPECT_EQ(manager.is_settled(*unit), settled);
     EXPECT_EQ(manager.inflight_units(), unsettled);
     restored.push_back(std::move(unit));
   }
-  // Restoring a unit twice keeps the first entry and the count.
-  manager.restore_unit(restored.front(), false, false);
-  EXPECT_EQ(manager.inflight_units(), unsettled);
   // Restored unsettled units settle through the normal path.
   for (const auto& unit : restored) {
     if (manager.is_settled(*unit)) continue;

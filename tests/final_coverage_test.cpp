@@ -5,6 +5,7 @@
 #include "pilot/agent.hpp"
 #include "pilot/pilot_manager.hpp"
 #include "pilot/unit_manager.hpp"
+#include "unit_test_util.hpp"
 
 namespace entk {
 namespace {
@@ -86,7 +87,7 @@ TEST(UnitManagerBooks, InflightCountsSettleToZero) {
     unit.simulated_duration = 5.0;
     descriptions.push_back(std::move(unit));
   }
-  auto submitted = units.submit_units(std::move(descriptions));
+  auto submitted = submit_descriptions(units, std::move(descriptions));
   ASSERT_TRUE(submitted.ok());
   EXPECT_EQ(units.total_units(), 6u);
   EXPECT_EQ(units.inflight_units(), 6u);

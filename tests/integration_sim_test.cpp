@@ -10,6 +10,7 @@
 #include "pilot/agent.hpp"
 #include "pilot/pilot_manager.hpp"
 #include "pilot/unit_manager.hpp"
+#include "unit_test_util.hpp"
 
 namespace entk {
 namespace {
@@ -82,7 +83,7 @@ TEST(MultiPilot, UnitsDistributeAcrossPilots) {
     description.simulated_duration = 10.0;
     descriptions.push_back(std::move(description));
   }
-  auto units = unit_manager.submit_units(std::move(descriptions));
+  auto units = submit_descriptions(unit_manager, std::move(descriptions));
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(unit_manager.wait_units(units.value()).is_ok());
   // Round-robin across two 8-core pilots: 16 concurrent units finish
@@ -128,7 +129,7 @@ TEST(MultiPilot, WideUnitsRouteToTheLargerPilot) {
   wide.cores = 8;
   wide.uses_mpi = true;
   wide.simulated_duration = 5.0;
-  auto units = unit_manager.submit_units({wide, wide, wide});
+  auto units = submit_descriptions(unit_manager, {wide, wide, wide});
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(unit_manager.wait_units(units.value()).is_ok());
   for (const auto& unit : units.value()) {

@@ -19,6 +19,7 @@
 #include "obs/trace.hpp"
 #include "pilot/sim_backend.hpp"
 #include "pilot/unit_manager.hpp"
+#include "unit_test_util.hpp"
 
 namespace entk {
 namespace {
@@ -156,7 +157,7 @@ TEST(SessionOrdinal, UnitsCarryTheirManagersOrdinal) {
   description.executable = "/bin/true";
   description.simulated_duration = 1.0;
   // No pilot: the units stay unrouted, which is all this needs.
-  auto units = manager.submit_units({description, description});
+  auto units = submit_descriptions(manager, {description, description});
   ASSERT_TRUE(units.ok()) << units.status().to_string();
   for (const auto& unit : units.value()) {
     EXPECT_EQ(unit->description().session, "ordinal-test.named");
@@ -165,7 +166,8 @@ TEST(SessionOrdinal, UnitsCarryTheirManagersOrdinal) {
   // A unit built outside a manager interns the same name to the same
   // ordinal.
   description.session = "ordinal-test.named";
-  const pilot::ComputeUnit loose("loose.0", description, backend.clock());
+  const pilot::ComputeUnit loose(
+      "loose.0", pilot::share_description(description), backend.clock());
   EXPECT_EQ(loose.session_ordinal(), manager.session_ordinal());
 }
 

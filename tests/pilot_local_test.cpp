@@ -14,6 +14,7 @@
 #include "pilot/scheduler.hpp"
 #include "pilot/stager.hpp"
 #include "pilot/unit_manager.hpp"
+#include "unit_test_util.hpp"
 
 namespace entk::pilot {
 namespace {
@@ -115,7 +116,7 @@ TEST_F(LocalBackendTest, PayloadsReallyExecute) {
           return Status::ok();
         }));
   }
-  auto submitted = units.submit_units(std::move(descriptions));
+  auto submitted = submit_descriptions(units, std::move(descriptions));
   ASSERT_TRUE(submitted.ok());
   ASSERT_TRUE(units.wait_units(submitted.value(), 30.0).is_ok());
   EXPECT_EQ(executed.load(), 10);
@@ -139,7 +140,7 @@ TEST_F(LocalBackendTest, StagingMovesDataBetweenUnits) {
       });
   producer.output_staging.push_back(
       {"data.txt", "", StagingDirective::Action::kCopy, 0.001});
-  auto produced = units.submit_units({std::move(producer)});
+  auto produced = submit_descriptions(units, {std::move(producer)});
   ASSERT_TRUE(produced.ok());
   ASSERT_TRUE(units.wait_units(produced.value(), 30.0).is_ok());
   ASSERT_EQ(produced.value()[0]->state(), UnitState::kDone);
@@ -155,7 +156,7 @@ TEST_F(LocalBackendTest, StagingMovesDataBetweenUnits) {
       });
   consumer.input_staging.push_back(
       {"data.txt", "", StagingDirective::Action::kCopy, 0.001});
-  auto consumed = units.submit_units({std::move(consumer)});
+  auto consumed = submit_descriptions(units, {std::move(consumer)});
   ASSERT_TRUE(consumed.ok());
   ASSERT_TRUE(units.wait_units(consumed.value(), 30.0).is_ok());
   EXPECT_EQ(consumed.value()[0]->state(), UnitState::kDone);
@@ -171,7 +172,7 @@ TEST_F(LocalBackendTest, MissingInputStagingFailsTheUnit) {
       [](const UnitRuntimeContext&) -> Status { return Status::ok(); });
   description.input_staging.push_back(
       {"not-there.bin", "", StagingDirective::Action::kCopy, 0.0});
-  auto submitted = units.submit_units({std::move(description)});
+  auto submitted = submit_descriptions(units, {std::move(description)});
   ASSERT_TRUE(submitted.ok());
   ASSERT_TRUE(units.wait_units(submitted.value(), 30.0).is_ok());
   EXPECT_EQ(submitted.value()[0]->state(), UnitState::kFailed);
@@ -191,7 +192,7 @@ TEST_F(LocalBackendTest, FailingPayloadRetriesThenSucceeds) {
         return Status::ok();
       });
   description.retry.max_retries = 2;
-  auto submitted = units.submit_units({std::move(description)});
+  auto submitted = submit_descriptions(units, {std::move(description)});
   ASSERT_TRUE(submitted.ok());
   ASSERT_TRUE(units.wait_units(submitted.value(), 30.0).is_ok());
   EXPECT_EQ(submitted.value()[0]->state(), UnitState::kDone);
@@ -210,7 +211,7 @@ TEST_F(LocalBackendTest, MpiUnitsSeeTheirCoreCount) {
         return Status::ok();
       },
       /*cores=*/4);
-  auto submitted = units.submit_units({std::move(description)});
+  auto submitted = submit_descriptions(units, {std::move(description)});
   ASSERT_TRUE(submitted.ok());
   ASSERT_TRUE(units.wait_units(submitted.value(), 30.0).is_ok());
   EXPECT_EQ(seen.load(), 4);
@@ -248,6 +249,34 @@ TEST(LocalEndToEnd, CharacterCountApplication) {
       << report.value().outcome.to_string();
   EXPECT_EQ(report.value().units.size(), 8u);
   EXPECT_GT(report.value().overheads.execution_time, 0.0);
+  ASSERT_TRUE(handle.deallocate().is_ok());
+}
+
+// Equal specs share one description, so the pool's workers call one
+// payload concurrently (run under tsan in CI).
+TEST(LocalEndToEnd, SharedPayloadRunsOnConcurrentWorkers) {
+  auto registry = kernels::KernelRegistry::with_builtin_kernels();
+  LocalBackend backend(4);
+  core::ResourceOptions options;
+  options.cores = 4;
+  core::ResourceHandle handle(backend, registry, options);
+  ASSERT_TRUE(handle.allocate().is_ok());
+  core::BagOfTasks pattern(32, [](const core::StageContext&) {
+    core::TaskSpec spec;
+    spec.kernel = "misc.sleep";
+    spec.args.set("duration", 0.002);
+    return spec;
+  });
+  auto report = handle.run(pattern);
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  ASSERT_TRUE(report.value().outcome.is_ok())
+      << report.value().outcome.to_string();
+  const auto& units = report.value().units;
+  ASSERT_EQ(units.size(), 32u);
+  for (const auto& unit : units) {
+    EXPECT_EQ(&unit->description(), &units.front()->description());
+    EXPECT_EQ(unit->state(), UnitState::kDone);
+  }
   ASSERT_TRUE(handle.deallocate().is_ok());
 }
 
@@ -310,19 +339,19 @@ TEST(LocalAgentShutdown, TeardownWhileAUnitFinishesDoesNotAbort) {
   std::atomic<bool> release{false};
   auto blocked = std::make_shared<ComputeUnit>(
       "teardown.u0",
-      payload_unit([&entered, &release](const UnitRuntimeContext&)
-                       -> Status {
-        entered.store(true, std::memory_order_release);
-        while (!release.load(std::memory_order_acquire)) {
-          std::this_thread::yield();
-        }
-        return Status::ok();
-      }),
+      share_description(payload_unit(
+          [&entered, &release](const UnitRuntimeContext&) -> Status {
+            entered.store(true, std::memory_order_release);
+            while (!release.load(std::memory_order_acquire)) {
+              std::this_thread::yield();
+            }
+            return Status::ok();
+          })),
       clock);
   auto follower = std::make_shared<ComputeUnit>(
       "teardown.u1",
-      payload_unit(
-          [](const UnitRuntimeContext&) -> Status { return Status::ok(); }),
+      share_description(payload_unit(
+          [](const UnitRuntimeContext&) -> Status { return Status::ok(); })),
       clock);
   for (const auto& unit : {blocked, follower}) {
     unit->stamp_created();

@@ -5,6 +5,7 @@
 #include "pilot/pilot_manager.hpp"
 #include "pilot/sim_backend.hpp"
 #include "pilot/unit_manager.hpp"
+#include "unit_test_util.hpp"
 
 namespace entk::pilot {
 namespace {
@@ -53,7 +54,8 @@ TEST_F(SimPilotTest, UnitsRunThroughTheFullLifecycle) {
   UnitManager manager(backend_);
   manager.add_pilot(pilot);
 
-  auto units = manager.submit_units({simple_unit(5.0), simple_unit(5.0)});
+  auto units = submit_descriptions(
+      manager, {simple_unit(5.0), simple_unit(5.0)});
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
   for (const auto& unit : units.value()) {
@@ -73,7 +75,7 @@ TEST_F(SimPilotTest, MoreTasksThanCoresExecuteInWaves) {
   manager.add_pilot(pilot);
 
   std::vector<UnitDescription> descriptions(8, simple_unit(10.0));
-  auto units = manager.submit_units(std::move(descriptions));
+  auto units = submit_descriptions(manager, std::move(descriptions));
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
 
@@ -100,8 +102,8 @@ TEST_F(SimPilotTest, MpiUnitsOccupyMultipleCores) {
   UnitManager manager(backend_);
   manager.add_pilot(pilot);
 
-  auto units = manager.submit_units(
-      {simple_unit(4.0, 8), simple_unit(4.0, 8)});
+  auto units = submit_descriptions(
+      manager, {simple_unit(4.0, 8), simple_unit(4.0, 8)});
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
   // Both need the whole pilot, so they must serialise.
@@ -116,7 +118,7 @@ TEST_F(SimPilotTest, OversizedUnitFailsCleanly) {
   auto pilot = make_active_pilot(4);
   UnitManager manager(backend_);
   manager.add_pilot(pilot);
-  auto units = manager.submit_units({simple_unit(1.0, 16)});
+  auto units = submit_descriptions(manager, {simple_unit(1.0, 16)});
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
   EXPECT_EQ(units.value()[0]->state(), UnitState::kFailed);
@@ -130,7 +132,7 @@ TEST_F(SimPilotTest, InjectedFailureWithoutRetriesFails) {
   manager.add_pilot(pilot);
   auto description = simple_unit(2.0);
   description.simulated_fail = true;
-  auto units = manager.submit_units({std::move(description)});
+  auto units = submit_descriptions(manager, {std::move(description)});
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
   EXPECT_EQ(units.value()[0]->state(), UnitState::kFailed);
@@ -143,7 +145,7 @@ TEST_F(SimPilotTest, InjectedFailureWithRetrySucceedsSecondTime) {
   auto description = simple_unit(2.0);
   description.simulated_fail = true;
   description.retry.max_retries = 1;
-  auto units = manager.submit_units({std::move(description)});
+  auto units = submit_descriptions(manager, {std::move(description)});
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
   EXPECT_EQ(units.value()[0]->state(), UnitState::kDone);
@@ -162,7 +164,7 @@ TEST_F(SimPilotTest, UnitsSubmittedBeforePilotActiveAreHeld) {
   UnitManager unit_manager(backend_);
   unit_manager.add_pilot(pilot.value());
   // Pilot still pending: units must queue in the manager.
-  auto units = unit_manager.submit_units({simple_unit(3.0)});
+  auto units = submit_descriptions(unit_manager, {simple_unit(3.0)});
   ASSERT_TRUE(units.ok());
   EXPECT_EQ(units.value()[0]->state(), UnitState::kPendingExecution);
   ASSERT_TRUE(unit_manager.wait_units(units.value()).is_ok());
@@ -174,7 +176,7 @@ TEST_F(SimPilotTest, SpawnOverheadAccumulatesPerUnit) {
   UnitManager manager(backend_);
   manager.add_pilot(pilot);
   std::vector<UnitDescription> descriptions(8, simple_unit(1.0));
-  auto units = manager.submit_units(std::move(descriptions));
+  auto units = submit_descriptions(manager, std::move(descriptions));
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
   const auto& machine = backend_.machine();
@@ -200,7 +202,7 @@ TEST(SimAgentSpawner, SingleWorkerSerializesLaunches) {
   UnitManager manager(backend);
   manager.add_pilot(pilot.value());
   std::vector<UnitDescription> descriptions(8, simple_unit(1.0));
-  auto units = manager.submit_units(std::move(descriptions));
+  auto units = submit_descriptions(manager, std::move(descriptions));
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
   std::vector<TimePoint> starts;
@@ -231,7 +233,7 @@ TEST(SimAgentSpawner, ParallelWorkersSpawnConcurrently) {
   UnitManager manager(backend);
   manager.add_pilot(pilot.value());
   std::vector<UnitDescription> descriptions(8, simple_unit(1.0));
-  auto units = manager.submit_units(std::move(descriptions));
+  auto units = submit_descriptions(manager, std::move(descriptions));
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
   TimePoint first = kTimeInfinity, last = -kTimeInfinity;
@@ -255,8 +257,8 @@ TEST_F(SimPilotTest, DeallocateCancelsWaitingUnits) {
   UnitManager unit_manager(backend_);
   unit_manager.add_pilot(pilot.value());
   // One long unit runs, one waits.
-  auto units = unit_manager.submit_units(
-      {simple_unit(1000.0), simple_unit(1000.0)});
+  auto units = submit_descriptions(
+      unit_manager, {simple_unit(1000.0), simple_unit(1000.0)});
   ASSERT_TRUE(units.ok());
   ASSERT_TRUE(backend_
                   .drive_until([&] {

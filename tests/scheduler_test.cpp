@@ -5,6 +5,7 @@
 #include "common/rng.hpp"
 #include "common/uid.hpp"
 #include "pilot/scheduler.hpp"
+#include "unit_test_util.hpp"
 
 namespace entk::pilot {
 namespace {
@@ -18,8 +19,9 @@ ComputeUnitPtr unit_with_cores(Count cores) {
   description.cores = cores;
   description.uses_mpi = cores > 1;
   description.simulated_duration = 1.0;
-  auto unit = std::make_shared<ComputeUnit>(next_uid("schedunit"),
-                                            std::move(description), g_clock);
+  auto unit = std::make_shared<ComputeUnit>(
+      next_uid("schedunit"), share_description(std::move(description)),
+      g_clock);
   ENTK_CHECK(unit->advance_state(UnitState::kPendingExecution).is_ok(), "");
   return unit;
 }

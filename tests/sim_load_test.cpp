@@ -6,6 +6,7 @@
 #include "common/uid.hpp"
 #include "pilot/pilot_manager.hpp"
 #include "sim/load_generator.hpp"
+#include "unit_test_util.hpp"
 
 namespace entk {
 namespace {
@@ -140,7 +141,8 @@ pilot::ComputeUnitPtr fake_executed_unit(const Clock& clock, Count cores,
   description.uses_mpi = cores > 1;
   description.simulated_duration = stop - start;
   auto unit = std::make_shared<pilot::ComputeUnit>(
-      next_uid("utilunit"), std::move(description), clock);
+      next_uid("utilunit"), pilot::share_description(std::move(description)),
+      clock);
   (void)unit->advance_state(pilot::UnitState::kPendingExecution);
   engine.schedule_at(start, [unit] {
     (void)unit->advance_state(pilot::UnitState::kExecuting);
@@ -178,7 +180,7 @@ TEST(Utilization, EmptyAndNonExecutedUnits) {
   pilot::UnitDescription description;
   description.executable = "x";
   auto never_ran = std::make_shared<pilot::ComputeUnit>(
-      "unit.neverran", description, clock);
+      "unit.neverran", pilot::share_description(description), clock);
   const auto report = core::compute_utilization({never_ran}, 4);
   EXPECT_EQ(report.executed_units, 0u);
 }

@@ -10,6 +10,7 @@
 #include "common/clock.hpp"
 #include "core/utilization.hpp"
 #include "pilot/compute_unit.hpp"
+#include "unit_test_util.hpp"
 
 namespace entk {
 namespace {
@@ -23,8 +24,8 @@ pilot::ComputeUnitPtr executed_unit(ManualClock& clock,
   description.name = uid;
   description.cores = cores;
   description.uses_mpi = cores > 1;
-  auto unit =
-      std::make_shared<pilot::ComputeUnit>(uid, description, clock);
+  auto unit = std::make_shared<pilot::ComputeUnit>(
+      uid, pilot::share_description(description), clock);
   EXPECT_TRUE(
       unit->advance_state(pilot::UnitState::kPendingExecution).is_ok());
   clock.advance_to(start);
@@ -52,10 +53,10 @@ TEST(Utilization, UnitsThatNeverExecutedAreIgnored) {
   std::vector<pilot::ComputeUnitPtr> units;
   // Never left kNew: no execution stamps at all.
   units.push_back(std::make_shared<pilot::ComputeUnit>(
-      "unit.idle", description, clock));
+      "unit.idle", pilot::share_description(description), clock));
   // Canceled while waiting: finished_at set, exec stamps still kNoTime.
   auto canceled = std::make_shared<pilot::ComputeUnit>(
-      "unit.canceled", description, clock);
+      "unit.canceled", pilot::share_description(description), clock);
   ASSERT_TRUE(
       canceled->advance_state(pilot::UnitState::kPendingExecution).is_ok());
   ASSERT_TRUE(
