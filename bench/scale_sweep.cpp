@@ -625,28 +625,28 @@ struct ParallelRuntimeProbe {
 /// in flight at once, and the wall-clock ratio against the one-thread
 /// run is the concurrency actually delivered. (Blocking kernels also
 /// make the measurement meaningful on single-core CI runners, where a
-/// cpu-bound sweep could never beat 1x.) Each external submission
-/// spawns half its work as a submit_local continuation, so the sweep
-/// exercises the per-worker deques and the steal path, not just the
-/// shared inject queue.
+/// cpu-bound sweep could never beat 1x.) One external root task fans
+/// every kernel out with submit_local onto its own worker's deque, so
+/// the other workers get work only by stealing: the sweep exercises
+/// the per-worker deques and the steal path, not the shared inject
+/// queue.
 ParallelRuntimeProbe run_parallel_probe(
     std::size_t n_tasks, double block_ms,
     const std::vector<std::size_t>& thread_counts) {
   ParallelRuntimeProbe probe;
   probe.n_tasks = n_tasks;
   probe.task_block_ms = block_ms;
-  const auto half_block = std::chrono::microseconds(
-      static_cast<std::int64_t>(block_ms * 500.0));
+  const auto block = std::chrono::microseconds(
+      static_cast<std::int64_t>(block_ms * 1000.0));
   for (const std::size_t threads : thread_counts) {
     WorkStealingPool pool(threads);
     const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < n_tasks; ++i) {
-      pool.submit_external(TaskFn([&pool, half_block] {
-        std::this_thread::sleep_for(half_block);
-        (void)pool.submit_local(TaskFn(
-            [half_block] { std::this_thread::sleep_for(half_block); }));
-      }));
-    }
+    pool.submit_external(TaskFn([&pool, n_tasks, block] {
+      for (std::size_t i = 0; i < n_tasks; ++i) {
+        (void)pool.submit_local(
+            TaskFn([block] { std::this_thread::sleep_for(block); }));
+      }
+    }));
     pool.wait_idle();
     ParallelPoint point;
     point.threads = threads;

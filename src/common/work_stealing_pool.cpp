@@ -171,14 +171,14 @@ bool WorkStealingPool::park() {
         break;
       }
       ++parked;
+      // Counted on entry, so stats() shows a worker parked while it
+      // sleeps; the metric sink hears of it on wake-up.
+      parks_.fetch_add(1, std::memory_order_relaxed);
       work_cv_.wait(state_mutex_);
       sleepers_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
-  if (parked != 0) {
-    parks_.fetch_add(parked, std::memory_order_relaxed);
-    note_metric(PoolMetric::kParked, parked);
-  }
+  if (parked != 0) note_metric(PoolMetric::kParked, parked);
   return live;
 }
 

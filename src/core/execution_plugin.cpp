@@ -85,6 +85,12 @@ Result<std::vector<pilot::ComputeUnitPtr>> ExecutionPlugin::submit(
   // strictly per-task, independent of what the task does).
   const Duration charge =
       options_.per_task_overhead * static_cast<double>(specs.size());
+  // Not a no-op at zero charge: outside event dispatch the sim
+  // backend's advance() runs the engine to now, firing every event due
+  // at the current virtual time. entk-serve (zero overhead) flushes
+  // from its drive predicate, between engine steps, so each of its
+  // fair-share flushes fires those events here, and its pinned
+  // dispatch decisions depend on it (docs/SERVICE.md).
   backend_.advance(charge);
   // Counter (not a span): on the sim backend advance() is a no-op
   // while the engine dispatches, so only the charge value is reliable.

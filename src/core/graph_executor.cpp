@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/log.hpp"
-#include "core/parallel_runtime.hpp"
 #include "pilot/states.hpp"
 
 #include "obs/metrics.hpp"
@@ -13,11 +12,6 @@
 namespace entk::core {
 
 namespace {
-
-/// Below this frontier size the spec batch is materialized serially
-/// even with a pool configured: dispatching a handful of SpecFn calls
-/// costs more than running them inline.
-constexpr std::size_t kParallelSpecBatch = 32;
 
 /// A unit is settled when it is final and no retry is pending.
 bool unit_settled(const pilot::ComputeUnit& unit) {
@@ -73,7 +67,6 @@ std::size_t GraphExecutor::nodes_submitted() const {
 }
 
 void GraphExecutor::on_unit_settled(const pilot::ComputeUnitPtr& unit) {
-  bool deferred = false;
   {
     MutexLock lock(mutex_);
     const std::uint32_t ordinal = unit->ordinal();
@@ -81,31 +74,20 @@ void GraphExecutor::on_unit_settled(const pilot::ComputeUnitPtr& unit) {
     const NodeId id = node_of_[ordinal];
     if (id == kNoNode || runs_[id].unit != unit) return;
     events_.push_back({id, unit->state()});
-    deferred = deferred_;
-    // Immediate: claim the pump with the event, or leave the event to
-    // the active pump. Either way this critical section is the last
-    // touch of a settlement that loses the race: once the pump finishes
-    // the run, its owner may destroy the executor.
-    if (!deferred) {
-      if (pumping_ || finished_) return;
-      pumping_ = true;
-    }
+    // Deferred: advance_local() drains the event. Immediate: claim the
+    // pump with the event, or leave the event to the active pump.
+    // Either way this critical section is the last touch of a
+    // settlement that loses the race: once the pump finishes the run,
+    // its owner may destroy the executor.
+    if (deferred_ || pumping_ || finished_) return;
+    pumping_ = true;
   }
-  if (!deferred) {
-    pump_claimed();
-    return;
-  }
-  // advance_local() drains it; tell the driver this graph changed.
-  if (event_hook_) event_hook_();
+  pump_claimed();
 }
 
 void GraphExecutor::set_deferred(bool deferred) {
   MutexLock lock(mutex_);
   deferred_ = deferred;
-}
-
-void GraphExecutor::set_event_hook(std::function<void()> hook) {
-  event_hook_ = std::move(hook);
 }
 
 bool GraphExecutor::advance_local() {
@@ -521,22 +503,6 @@ std::vector<TaskSpec> GraphExecutor::materialize_specs(
   // Specs are produced here — at submission time, outside any lock —
   // so stateful user callbacks observe current application state.
   std::vector<TaskSpec> specs;
-  WorkStealingPool* pool = parallel_pool();
-  if (pool != nullptr && frontier.size() >= kParallelSpecBatch) {
-    // Index-keyed parallel materialization: each call fills its own
-    // pre-sized slot, so the batch comes out in node-id order and the
-    // serial submit below is bit-identical to the serial path (the
-    // pinned golden digests hold at every thread count). SpecFns must
-    // tolerate concurrent invocation ACROSS DIFFERENT NODES — each
-    // node's own SpecFn still runs exactly once.
-    specs.resize(frontier.size());
-    const TaskGraph& graph = graph_;
-    pool->parallel_for(frontier.size(),
-                       [&specs, &graph, &frontier](std::size_t i) {
-                         specs[i] = graph.node(frontier[i]).make_spec();
-                       });
-    return specs;
-  }
   specs.reserve(frontier.size());
   for (const NodeId id : frontier) {
     specs.push_back(graph_.node(id).make_spec());

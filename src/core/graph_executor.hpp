@@ -74,32 +74,25 @@ class GraphExecutor {
 
   // --- deferred pumping (external drivers, e.g. entk-serve) ---
   // In deferred mode a settlement only queues its event; the graph
-  // advances when the driver calls advance_local() (parallelizable
-  // across sessions — it touches only this executor's state and the
-  // user SpecFns) followed by flush_submit() (serial — the backend is
-  // shared across sessions and not thread-safe). advance_local and
-  // flush_submit for ONE executor must not run concurrently with each
-  // other. Both may be called from a settled observer.
+  // advances when the driver calls advance_local() followed by
+  // flush_submit(). advance_local and flush_submit for ONE executor
+  // must not run concurrently with each other. Both may be called from
+  // a settled observer; a driver of many executors learns which graphs
+  // changed from a settled observer of its own on the unit manager,
+  // registered after the run starts so it fires after the executor's.
   /// Enables/disables deferred mode. Toggle only between engine steps
   /// (no settlement callback in flight, no pending batch unflushed).
   void set_deferred(bool deferred) ENTK_EXCLUDES(mutex_);
-  /// Deferred mode: `hook` runs after each settlement event is queued
-  /// for advance_local(), outside the executor lock, on the thread
-  /// that delivered the settlement. A driver of many executors uses it
-  /// to advance only the ones that changed. An empty hook clears it.
-  /// Set only between engine steps, like set_deferred.
-  void set_event_hook(std::function<void()> hook);
-  /// Parallel-safe half of one pump round: the advance step (apply
-  /// queued settlement events, decide groups, propagate skips, compute
-  /// the next frontier and materialize its specs) — everything except
-  /// the submission itself. Returns true when flush_submit() has a
-  /// batch.
+  /// First half of one pump round: the advance step (apply queued
+  /// settlement events, decide groups, propagate skips, compute the
+  /// next frontier and materialize its specs) — everything except the
+  /// submission itself. Returns true when flush_submit() has a batch.
   bool advance_local() ENTK_EXCLUDES(mutex_);
-  /// Serial half: submits the batch advance_local() materialized, in
+  /// Second half: submits the batch advance_local() materialized, in
   /// node-id order. Returns true when anything was submitted (another
   /// advance round may unblock more work).
   bool flush_submit() ENTK_EXCLUDES(mutex_);
-  /// Bounded serial half: submits at most `max_nodes` of the pending
+  /// Bounded second half: submits at most `max_nodes` of the pending
   /// batch (lowest node ids first) and keeps the remainder pending for
   /// a later flush — the dispatch hook serve's deficit-round-robin
   /// interleaves contending sessions through. Returns the number of
@@ -213,8 +206,7 @@ class GraphExecutor {
   /// Returns true when an expander scheduled more work.
   bool handle_quiesce() ENTK_EXCLUDES(mutex_);
   /// Produces the frontier's specs at submission time, outside any
-  /// lock — across the parallel pool when one is configured and the
-  /// batch is large enough.
+  /// lock, in node-id order.
   std::vector<TaskSpec> materialize_specs(
       const std::vector<NodeId>& frontier) ENTK_EXCLUDES(mutex_);
   /// Submits an already-materialized batch and adopts the units (the
@@ -290,8 +282,6 @@ class GraphExecutor {
   /// not mutex_.
   std::vector<NodeId> pending_frontier_;
   std::vector<TaskSpec> pending_specs_;
-  /// set_event_hook's callback; unannotated for the same reason.
-  std::function<void()> event_hook_;
   bool aborted_ ENTK_GUARDED_BY(mutex_) = false;
   Status abort_status_ ENTK_GUARDED_BY(mutex_);
   bool finished_ ENTK_GUARDED_BY(mutex_) = false;

@@ -4,9 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "common/work_stealing_pool.hpp"
 #include "core/graph_executor.hpp"
-#include "core/parallel_runtime.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/protocol.hpp"
@@ -57,9 +55,8 @@ Service::Service(ServiceConfig config, sim::MachineProfile machine)
       machine_cores_(machine.total_cores()),
       kernel_registry_(kernels::KernelRegistry::with_builtin_kernels()),
       backend_(std::make_unique<pilot::SimBackend>(std::move(machine))) {
-  max_active_ = config_.max_active_sessions != 0
-                    ? config_.max_active_sessions
-                    : std::max<std::size_t>(4, 2 * core::parallel_threads());
+  max_active_ =
+      config_.max_active_sessions != 0 ? config_.max_active_sessions : 4;
   quantum_ = config_.drr_quantum != 0 ? config_.drr_quantum : 8;
   inflight_budget_ = config_.max_inflight_total != 0
                          ? config_.max_inflight_total
@@ -498,8 +495,14 @@ void Service::start_workload(const std::shared_ptr<Workload>& workload) {
   active_.push_back(workload);
   workload->executor = workload->session->run_executor();
   if (workload->executor != nullptr) {
+    // Registered after start_run's own subscription, so it runs after
+    // the executor has queued the settlement for advance_local().
     Workload* raw = workload.get();
-    workload->executor->set_event_hook([this, raw] { mark_changed(*raw); });
+    workload->settled_observer =
+        workload->session->unit_manager()->add_settled_observer(
+            [this, raw](const pilot::ComputeUnitPtr&, pilot::UnitState) {
+              mark_changed(*raw);
+            });
     // The start already pumped the initial frontier into the batch.
     mark_changed(*workload);
   }
@@ -564,7 +567,8 @@ void Service::set_backlogged(Workload& workload, bool backlogged) {
 
 void Service::detach_executor(Workload& workload) {
   if (workload.executor == nullptr) return;
-  workload.executor->set_event_hook(nullptr);
+  workload.session->unit_manager()->remove_settled_observer(
+      workload.settled_observer);
   workload.executor->set_deferred(false);
   workload.executor = nullptr;
   if (workload.advance_due) {
@@ -607,26 +611,16 @@ void Service::leave_slot(Workload& workload) {
 }
 
 void Service::advance_and_flush() {
-  WorkStealingPool* pool = core::parallel_pool();
   for (;;) {
     // Phase 1: advance the graphs that changed since their last
     // advance (no submissions yet); an unchanged graph's advance is a
-    // no-op. The graphs share no state, so a pool fans them out; the
-    // predicate runs between engine steps, so no settlement is
-    // mid-flight.
+    // no-op. The predicate runs between engine steps, so no settlement
+    // is mid-flight.
     if (!to_advance_.empty()) {
       advancing_.swap(to_advance_);
-      for (Workload* workload : advancing_) workload->advance_due = false;
-      if (pool != nullptr && advancing_.size() > 1) {
-        pool->parallel_for(advancing_.size(), [this](std::size_t i) {
-          advancing_[i]->executor->advance_local();
-        });
-      } else {
-        for (Workload* workload : advancing_) {
-          workload->executor->advance_local();
-        }
-      }
       for (Workload* workload : advancing_) {
+        workload->advance_due = false;
+        workload->executor->advance_local();
         set_backlogged(*workload,
                        workload->executor->pending_submits() > 0);
         if (workload->session->run_finished()) reap_due_ = true;

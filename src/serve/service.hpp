@@ -20,11 +20,11 @@
 //                       every running session's graph executor defers
 //                       its pumping, and the drive predicate advances
 //                       the graphs that changed since their last
-//                       advance (in parallel on the work-stealing
-//                       pool), then flushes ready nodes
-//                       tenant-by-tenant in weight-proportional quanta,
-//                       bounded by a global in-flight budget (the
-//                       scarce resource the arbitration divides).
+//                       advance (one at a time, on the drive thread),
+//                       then flushes ready nodes tenant-by-tenant in
+//                       weight-proportional quanta, bounded by a
+//                       global in-flight budget (the scarce resource
+//                       the arbitration divides).
 //
 // Threading: listener/client threads call submit/status/cancel/
 // results/stats/handle_line; ONE drive thread calls run() (or the
@@ -113,7 +113,7 @@ struct ServiceConfig {
   /// Admission queue bound; a full queue REJECTs further SUBMITs.
   std::size_t queue_capacity = 256;
   /// Max concurrently running sessions across all tenants.
-  /// 0 = derive: max(4, 2 * core::parallel_threads()).
+  /// 0 = derive (4).
   std::size_t max_active_sessions = 0;
   /// Fair-share quantum: frontier nodes credited per tenant per DRR
   /// round, scaled by the tenant weight. 0 = derive (8).
@@ -221,6 +221,9 @@ class Service {
     std::unique_ptr<core::ExecutionPattern> pattern;
     core::GraphExecutor* executor = nullptr;
     TenantSlot* slot = nullptr;  ///< Set while running.
+    /// Unit-manager token of the observer that marks the graph changed
+    /// on each settlement; valid while `executor` is set.
+    std::size_t settled_observer = 0;
     bool advance_due = false;  ///< Listed in to_advance_.
     bool backlogged = false;   ///< Counted in backlogged_.
   };
@@ -277,7 +280,8 @@ class Service {
   /// Queues `workload`'s graph for the next advance (a settlement was
   /// queued, or it was started, flushed or cancelled).
   void mark_changed(Workload& workload);
-  /// Unhooks the graph executor from the drive loop's bookkeeping.
+  /// Unhooks the graph executor from the drive loop's bookkeeping and
+  /// removes its settled observer.
   void detach_executor(Workload& workload);
   void set_backlogged(Workload& workload, bool backlogged);
   void join_slot(Workload& workload, Tenant& tenant);

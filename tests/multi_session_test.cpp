@@ -32,7 +32,6 @@
 #include "ckpt/snapshot.hpp"
 #include "common/uid.hpp"
 #include "core/entk.hpp"
-#include "core/parallel_runtime.hpp"
 #include "scale_test_util.hpp"
 
 namespace entk::core {
@@ -121,14 +120,11 @@ std::uint64_t solo_digest(const std::string& name,
   return scale_test::trace_digest(report.value().units);
 }
 
-/// Runs alpha and beta concurrently on `make`'s workload with a
-/// `threads`-worker parallel pool (0 = serial; the pool materializes
-/// large frontiers) and checks that each session's trace is
-/// bit-identical to its solo run: parallelism and sharing the backend
-/// may change WHEN graph bookkeeping happens on the host, never WHAT
-/// gets scheduled on the simulated clock.
-void expect_concurrent_matches_solo(PatternFactory make,
-                                    std::size_t threads) {
+/// Runs alpha and beta concurrently on `make`'s workload and checks
+/// that each session's trace is bit-identical to its solo run: sharing
+/// the backend may change WHEN graph bookkeeping happens on the host,
+/// never WHAT gets scheduled on the simulated clock.
+void expect_concurrent_matches_solo(PatternFactory make) {
   std::size_t solo_units = 0;
   const std::uint64_t solo_alpha = solo_digest("alpha", make, &solo_units);
   const std::uint64_t solo_beta = solo_digest("beta", make);
@@ -138,10 +134,6 @@ void expect_concurrent_matches_solo(PatternFactory make,
   // the equality checks below would pass vacuously.
   ASSERT_NE(solo_alpha, solo_beta);
 
-  struct PoolReset {
-    ~PoolReset() { set_parallel_threads(0); }
-  } reset_on_exit;
-  set_parallel_threads(threads);
   reset_uid_counters_for_testing();
   auto registry = kernels::KernelRegistry::with_builtin_kernels();
   pilot::SimBackend backend(multi_machine());
@@ -167,29 +159,15 @@ void expect_concurrent_matches_solo(PatternFactory make,
 }
 
 TEST(MultiSession, ConcurrentTracesMatchSoloRunsBitIdentical) {
-  expect_concurrent_matches_solo(bag_workload, 0);
-}
-
-TEST(MultiSession, ParallelAdvancementMatchesSoloRunsBitIdentical) {
-  // Each session still pumps its own graph; the pool materializes the
-  // sessions' large initial frontiers.
-  expect_concurrent_matches_solo(bag_workload, 4);
+  expect_concurrent_matches_solo(bag_workload);
 }
 
 TEST(MultiSession, PipelineChainsMatchSoloRunsBitIdentical) {
-  expect_concurrent_matches_solo(eop_workload, 0);
-}
-
-TEST(MultiSession, PipelineChainsWithParallelPoolMatchSoloRuns) {
-  expect_concurrent_matches_solo(eop_workload, 4);
+  expect_concurrent_matches_solo(eop_workload);
 }
 
 TEST(MultiSession, SalIterationsMatchSoloRunsBitIdentical) {
-  expect_concurrent_matches_solo(sal_workload, 0);
-}
-
-TEST(MultiSession, SalIterationsWithParallelPoolMatchSoloRuns) {
-  expect_concurrent_matches_solo(sal_workload, 4);
+  expect_concurrent_matches_solo(sal_workload);
 }
 
 TEST(MultiSession, LocalBackendChainsSubmitEveryStageOnce) {

@@ -14,7 +14,6 @@
 
 #include "common/lock_rank.hpp"
 #include "common/mutex.hpp"
-#include "core/parallel_runtime.hpp"
 #include "core/workload_file.hpp"
 #include "serve/json.hpp"
 #include "serve/service.hpp"
@@ -383,19 +382,6 @@ std::vector<std::uint64_t> pinned_mix_contended_tallies() {
 }
 
 TEST(ServeService, FairShareDecisionsArePinned) {
-  EXPECT_EQ(pinned_mix_contended_tallies(),
-            (std::vector<std::uint64_t>{109, 104, 154, 131}));
-}
-
-TEST(ServeService, ParallelAdvanceKeepsFairShareDecisionsPinned) {
-  // With a pool configured, a drive pass in which several tenants'
-  // graphs changed advances them as pool tasks (phase 1 of
-  // advance_and_flush). The graphs share no state, so every dispatch
-  // decision must match the serial pass.
-  struct PoolReset {
-    ~PoolReset() { core::set_parallel_threads(0); }
-  } reset_on_exit;
-  core::set_parallel_threads(4);
   EXPECT_EQ(pinned_mix_contended_tallies(),
             (std::vector<std::uint64_t>{109, 104, 154, 131}));
 }

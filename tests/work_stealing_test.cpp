@@ -177,9 +177,18 @@ TEST(WorkStealingPool, ExternalSubmissionsStayFairAgainstBusyWorkers) {
 TEST(WorkStealingPool, BurstyLoadParksAndWakesWorkers) {
   WorkStealingPool pool(3);
   std::atomic<std::size_t> executed{0};
+  std::uint64_t parks_seen = 0;
   for (int burst = 0; burst < 5; ++burst) {
-    // Idle gap: spin budgets expire and workers park.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    // Idle gap: spin budgets expire and workers park. The worker that
+    // ran the last task of the previous burst parks again, so wait
+    // (bounded, for a starved host) until the park count rises.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (pool.stats().parks <= parks_seen &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    parks_seen = pool.stats().parks;
     for (std::size_t i = 0; i < 50; ++i) {
       pool.submit_external(TaskFn([&executed] { executed.fetch_add(1); }));
     }
@@ -207,8 +216,7 @@ TEST(WorkStealingPool, ParallelForCoversEveryIndexExactlyOnce) {
 }
 
 TEST(WorkStealingPool, ParallelForNestsInsidePoolTasks) {
-  // GraphExecutor calls parallel_for from run_concurrent's advance
-  // tasks, which themselves run on the pool: the caller participates,
+  // A pool task may itself call parallel_for: the caller participates,
   // so nesting must not deadlock even when every worker is busy.
   WorkStealingPool pool(2);
   std::atomic<std::size_t> total{0};
